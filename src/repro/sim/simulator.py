@@ -426,7 +426,9 @@ class AuditSimulator:
             engine = self._engine_for(model, budget)
             hits_before = self._cache_hits()
             started = time.perf_counter()
-            with obs.span("sim.period", period=period, refit=refit):
+            # No period label: each PeriodRecord carries its index, and
+            # a per-period label would add one series per period.
+            with obs.span("sim.period", refit=refit):
                 memoized = self._solve_memo.get(id(engine))
                 if memoized is None:
                     try:

@@ -15,7 +15,7 @@ The subproblem of finding the true minimum-reduced-cost ordering is itself
 hard, so the greedy construction makes CGGS an approximation — the paper's
 Table V/VI quantify the (small) quality loss versus full enumeration.
 
-Two structure-exploiting fast paths ride under the algorithm unchanged:
+Three structure-exploiting fast paths ride under the algorithm unchanged:
 
 * **Subset-table oracle** (``subset_table``, auto-enabled for ``|T| >=
   3``): the greedy append step prices all ``|T| - k`` one-type
@@ -34,6 +34,13 @@ Two structure-exploiting fast paths ride under the algorithm unchanged:
   added column instead of cold two-phase solving (see
   :class:`~repro.solvers.master.MasterProblem`).  The default scipy/HiGHS
   backend has no basis interface and keeps cold-solving.
+* **Row dedupe once per solver**: the eq. 5 representative rows
+  (:meth:`~repro.solvers.master.PolicyContext.representative_rows_for`)
+  depend only on the game, so the solver computes them at construction
+  and passes them to every per-probe context, as enumeration does.  On
+  EMR's 50x50 attack grid one dedupe takes tens of milliseconds, more
+  than the rest of a typical probe, so paying it per probe would
+  dominate an ISHM run.
 """
 
 from __future__ import annotations
@@ -107,6 +114,9 @@ class CGGSSolver:
         self.subset_table = _coerce_subset_table(subset_table)
         self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.warm_start = bool(warm_start)
+        # The deduplicated LP rows depend only on the game: computed
+        # once here and shared by every probe's context.
+        self._rep_rows = PolicyContext.representative_rows_for(game)
 
     # ------------------------------------------------------------------
 
@@ -118,6 +128,7 @@ class CGGSSolver:
             thresholds,
             subset_table=self.subset_table,
             kernel_backend=self.kernel_backend,
+            representative_rows=self._rep_rows,
         )
         master = MasterProblem(
             context, backend=self.backend, warm_start=self.warm_start

@@ -157,8 +157,12 @@ class PolicyContext:
     vectorized sweep via :meth:`extension_utilities`).
 
     ``representative_rows`` lets callers that build many contexts for
-    one game (batched pricing) share the deduplicated LP row set instead
-    of recomputing it per context.
+    one game share the deduplicated LP row set instead of recomputing it
+    per context.  Any caller that builds one context per probe (the
+    enumeration and CGGS solvers, batched pricing) must compute
+    :meth:`representative_rows_for` once and pass it here: the dedupe
+    walks the full ``|E| x |V|`` attack grid, and on the paper's EMR game
+    it cost more than the rest of a CGGS probe.
     """
 
     def __init__(
@@ -209,8 +213,8 @@ class PolicyContext:
         the LP from |E| x |V| rows to |E| x (#alert types + 1).
 
         Depends only on the game (not thresholds or scenarios), so
-        batched-pricing callers compute it once and pass it to every
-        context they build.
+        solvers and batched-pricing callers compute it once and pass it
+        to every context they build.
         """
         probs = game.attack_map.probabilities
         payoffs = game.payoffs
@@ -234,9 +238,6 @@ class PolicyContext:
             np.asarray(e_rows, dtype=np.int64),
             np.asarray(v_rows, dtype=np.int64),
         )
-
-    # Backwards-compatible private alias (older call sites/tests).
-    _representative_rows = representative_rows_for
 
     @property
     def representative_rows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -98,3 +98,27 @@ def test_sim_counters_and_spans(tiny_game, registry):
     paths = {dict(key)["span"] for key in spans}
     # engine.solve nested under sim.period via the contextvar chain.
     assert any(p.startswith("sim.period.") for p in paths)
+
+
+def test_sim_period_span_series_stay_bounded(tiny_game, registry):
+    """Span labels never carry the period index: one series per refit."""
+    from repro.sim import AuditSimulator, SimConfig
+
+    config = SimConfig(
+        n_periods=12,
+        solver="ishm",
+        solver_options={"step_size": 0.5},
+        estimator="rolling-empirical",
+        estimator_options={"min_periods": 2, "refit_every": 6},
+    )
+    with AuditSimulator(tiny_game, config) as sim:
+        trajectory = sim.run()
+    assert trajectory.n_periods == 12
+    spans = registry.snapshot()["histograms"].get(SPAN_HISTOGRAM, {})
+    series = {
+        key: hist for key, hist in spans.items()
+        if dict(key)["span"] == "sim.period"
+    }
+    # Exactly one series per refit value, together holding all 12 periods.
+    assert sorted(dict(key)["refit"] for key in series) == ["False", "True"]
+    assert sum(hist.count for hist in series.values()) == 12
