@@ -1,27 +1,16 @@
-"""Subset-memoized detection kernel vs the legacy per-ordering walk.
+"""Subset-memoized detection table vs the reference per-ordering walk.
 
-Pricing the full ordering set for one threshold vector costs the legacy
-kernel ``T! * T`` scenario sweeps; the subset table
+Pricing the full ordering set for one threshold vector costs the
+reference walk ``T! * T`` scenario sweeps; the subset table
 (:class:`repro.core.PalTable`) does ``T * 2^(T-1)`` sweeps plus ``2^T``
 DP vector adds and assembles every ``Pal`` row by lookup — 448 vs 35 280
-sweeps at ``T = 7``.  This bench measures that end to end:
+sweeps at ``T = 7``.  This bench times all ``T!`` ``Pal`` rows from the
+walk (validate-once :class:`repro.core.OrderingPricer`) against one
+:class:`~repro.core.PalTable` build + lookups, for ``T in {4..8}`` on
+exact and Monte-Carlo scenario sets, checking the rows agree to 1e-9.
 
-* **kernel level** — all ``T!`` ``Pal`` rows from the legacy walk
-  (validate-once :class:`repro.core.OrderingPricer`) versus one
-  :class:`~repro.core.PalTable` build + lookups, for ``T in {4..7}``
-  on exact and Monte-Carlo scenario sets;
-* **solver level** — ``EnumerationSolver.solve_batch`` over a stack of
-  threshold vectors with ``subset_table=True`` versus ``False`` (both
-  with scenario compression), checking the objectives agree to 1e-9.
-* **kernel backends** — the same :class:`~repro.core.PalTable` build
-  through the ``kernel_backend`` knob (``numpy`` vs ``numba`` when the
-  ``kernels`` extra is installed), tables checked bitwise-equal.
-
-Acceptance (non-smoke): >= 3x kernel-level speedup at ``T = 6``; with
-numba installed, >= 3x numba-vs-numpy build speedup at ``T = 8``.
-Measured ratios for every grid point land in ``BENCH_pal_kernel.json``
-(the ``kernel_backend`` / ``numba_available`` fields record which
-compiled path produced them).
+Acceptance (non-smoke): >= 3x speedup at ``T = 6``.  Measured ratios for
+every grid point land in ``BENCH_pal_kernel.json``.
 """
 
 import time
@@ -40,9 +29,7 @@ from repro.core import (
     PayoffModel,
     all_orderings,
 )
-from repro.core.kernels import HAS_NUMBA, resolve_kernel_backend
 from repro.distributions import DiscretizedGaussian, JointCountModel
-from repro.solvers.enumeration import EnumerationSolver
 
 #: Joint supports beyond this size are sampled instead of enumerated.
 EXACT_LIMIT = 40_000
@@ -180,8 +167,6 @@ def test_pal_kernel_speedup(benchmark):
         {
             "kernel": records,
             "type_grid": list(type_grid),
-            "kernel_backend": resolve_kernel_backend("auto"),
-            "numba_available": HAS_NUMBA,
         },
     )
     if not smoke_mode():
@@ -189,209 +174,3 @@ def test_pal_kernel_speedup(benchmark):
             f"expected >= 3x at T=6, measured {speedups[6]:.2f}x"
         )
 
-
-def test_enumeration_solver_batch_speedup(benchmark):
-    type_grid = pick(smoke=(4,), fast=(4, 5, 6), full=(4, 5, 6, 7))
-    n_vectors = pick(smoke=2, fast=4, full=6)
-    rows = []
-    records = []
-
-    def sweep():
-        for n_types in type_grid:
-            game = make_game(n_types)
-            exact = game.counts.n_exact_scenarios() <= EXACT_LIMIT
-            scenarios = scenarios_for(game, exact)
-            rng = np.random.default_rng(7)
-            upper = np.minimum(
-                np.ceil(game.threshold_upper_bounds()), game.budget
-            )
-            batch = rng.integers(
-                0, upper + 1, size=(n_vectors, n_types)
-            ).astype(np.float64)
-
-            started = time.perf_counter()
-            legacy = EnumerationSolver(
-                game, scenarios, subset_table=False
-            ).solve_batch(batch)
-            legacy_time = time.perf_counter() - started
-
-            started = time.perf_counter()
-            fast = EnumerationSolver(
-                game, scenarios, subset_table=True
-            ).solve_batch(batch)
-            table_time = time.perf_counter() - started
-
-            worst = max(
-                abs(a.objective - b.objective)
-                for a, b in zip(fast, legacy, strict=True)
-            )
-            assert worst <= 1e-9
-            speedup = (
-                legacy_time / table_time if table_time else float("inf")
-            )
-            rows.append(
-                [
-                    str(n_types),
-                    str(scenarios.n_scenarios),
-                    f"{legacy_time:.2f}s",
-                    f"{table_time:.2f}s",
-                    f"{speedup:.1f}x",
-                    f"{worst:.1e}",
-                ]
-            )
-            records.append(
-                {
-                    "n_types": n_types,
-                    "n_vectors": n_vectors,
-                    "n_scenarios": scenarios.n_scenarios,
-                    "legacy_seconds": legacy_time,
-                    "table_seconds": table_time,
-                    "speedup": speedup,
-                    "max_abs_objective_delta": worst,
-                }
-            )
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        f"EnumerationSolver.solve_batch — {n_vectors} vectors, "
-        "legacy vs subset-table pricing",
-        render_table(
-            [
-                "T",
-                "scenarios",
-                "legacy",
-                "subset table",
-                "speedup",
-                "max |dObj|",
-            ],
-            rows,
-        ),
-    )
-    write_bench_json(
-        "pal_kernel_solver",
-        {
-            "solve_batch": records,
-            "type_grid": list(type_grid),
-            "n_vectors": n_vectors,
-        },
-    )
-
-
-def test_kernel_backend_comparison(benchmark):
-    """One PalTable build per ``kernel_backend``, tables bitwise-equal.
-
-    Without the ``kernels`` extra this records the numpy build times
-    alone (CI's smoke rows stay numpy-only by design); with numba
-    importable it times the JIT path against numpy on the same build —
-    compilation happens outside the timed region, since ``cache=True``
-    amortizes it across processes — and enforces the >= 3x acceptance
-    at ``T = 8``.
-    """
-    type_grid = pick(smoke=(4,), fast=(6, 8), full=(6, 8))
-    reps = pick(smoke=1, fast=3, full=5)
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    rows = []
-    records = []
-    speedups = {}
-
-    def sweep():
-        for n_types in type_grid:
-            game = make_game(n_types)
-            exact = game.counts.n_exact_scenarios() <= EXACT_LIMIT
-            scenarios = scenarios_for(game, exact)
-            thresholds = np.minimum(
-                game.threshold_upper_bounds(), game.budget
-            ).astype(np.float64)
-            timings = {}
-            reference = None
-            for backend in backends:
-                if backend == "numba":
-                    # Warm the JIT cache outside the timed region.
-                    PalTable(
-                        thresholds, scenarios, game.costs, game.budget,
-                        kernel_backend=backend,
-                    )
-                best = float("inf")
-                for _ in range(reps):
-                    started = time.perf_counter()
-                    table = PalTable(
-                        thresholds, scenarios, game.costs, game.budget,
-                        kernel_backend=backend,
-                    )
-                    best = min(best, time.perf_counter() - started)
-                timings[backend] = best
-                if reference is None:
-                    reference = table.table.copy()
-                else:
-                    assert np.array_equal(table.table, reference)
-            record = {
-                "n_types": n_types,
-                "n_scenarios": scenarios.n_scenarios,
-                "numpy_seconds": timings["numpy"],
-                "numba_available": HAS_NUMBA,
-            }
-            speedup_text = "n/a"
-            if HAS_NUMBA:
-                speedup = (
-                    timings["numpy"] / timings["numba"]
-                    if timings["numba"]
-                    else float("inf")
-                )
-                speedups[n_types] = speedup
-                record["numba_seconds"] = timings["numba"]
-                record["speedup"] = speedup
-                speedup_text = f"{speedup:.1f}x"
-            records.append(record)
-            rows.append(
-                [
-                    str(n_types),
-                    str(scenarios.n_scenarios),
-                    f"{timings['numpy'] * 1e3:.1f}ms",
-                    (
-                        f"{timings['numba'] * 1e3:.1f}ms"
-                        if HAS_NUMBA
-                        else "not installed"
-                    ),
-                    speedup_text,
-                ]
-            )
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "PalTable build — kernel_backend=numpy vs numba",
-        render_table(
-            ["T", "rows", "numpy build", "numba build", "speedup"],
-            rows,
-        ),
-    )
-    _merge_bench_json({"backend_comparison": records})
-    if not smoke_mode() and HAS_NUMBA:
-        assert speedups[8] >= 3.0, (
-            f"expected >= 3x numba speedup at T=8, "
-            f"measured {speedups[8]:.2f}x"
-        )
-
-
-def _merge_bench_json(payload: dict) -> None:
-    """Fold extra sections into BENCH_pal_kernel.json (tests run in
-    file order, so the kernel sweep's record exists by the time this
-    lands; a standalone run still writes a valid record)."""
-    import json
-    import os
-
-    out_dir = os.environ.get("REPRO_BENCH_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_pal_kernel.json")
-    try:
-        with open(path) as handle:
-            record = json.load(handle)
-    except (OSError, ValueError):
-        record = {}
-    record.update(payload)
-    write_bench_json(
-        "pal_kernel",
-        {
-            k: v
-            for k, v in record.items()
-            if k not in ("bench", "smoke", "full")
-        },
-    )

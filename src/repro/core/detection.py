@@ -28,12 +28,11 @@ Reduction order
 The closing expectation ``E_Z[n_t / Z_t]`` is evaluated everywhere as
 ``(ratio * weights).sum(axis=-1)`` — numpy's pairwise reduction over the
 scenario axis.  Pairwise summation depends only on the row length and
-stride, so the serial walk (:meth:`OrderingPricer.pal`), the batched walk
-(:func:`pal_for_ordering_batch`) and the subset-memoized table
-(:class:`~repro.core.pal_table.PalTable`) all produce *bit-identical*
+stride, so the reference walk (:meth:`OrderingPricer.pal`) and the
+subset-memoized tables (:class:`~repro.core.pal_table.PalTable` and
+:class:`~repro.core.pal_table.LazyPalTable`) all produce *bit-identical*
 expectations from bit-identical ratios.  A BLAS dot (``weights @ ratio``)
-would not give that guarantee across the 1-D and 2-D call shapes; the
-workers>1 == workers=1 pricing identity relies on it.
+would not give that guarantee across the 1-D and 2-D call shapes.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .policy import Ordering
 __all__ = [
     "OrderingPricer",
     "pal_for_ordering",
-    "pal_for_ordering_batch",
     "pal_for_orderings",
     "audited_counts",
     "remaining_budget",
@@ -140,10 +138,10 @@ class OrderingPricer:
     with no revalidation; :func:`pal_for_ordering` is a thin one-shot
     wrapper, so both produce bit-identical rows.
 
-    This is the *legacy* (reference) kernel.  When many complete
-    orderings share one ``(b, Z)`` — full enumeration above a handful of
-    types — :class:`~repro.core.pal_table.PalTable` prices them from a
-    ``T * 2^(T-1)`` subset table instead of ``|O| * T`` scenario sweeps.
+    This is the reference walk.  The solvers price from the subset
+    tables built on top of it (:class:`~repro.core.pal_table.PalTable`
+    and :class:`~repro.core.pal_table.LazyPalTable`); the walk stays for
+    tests, the simulator and small-support policy evaluation.
     """
 
     __slots__ = (
@@ -229,92 +227,6 @@ def pal_for_ordering(
     return OrderingPricer(
         thresholds, scenarios, costs, budget, zero_count_rule
     ).pal(ordering)
-
-
-def _check_batch_inputs(
-    thresholds: np.ndarray,
-    scenarios: ScenarioSet,
-    costs: np.ndarray,
-    budget: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a ``(B, T)`` threshold stack once per pricing pass."""
-    b = np.asarray(thresholds, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(
-            f"batched thresholds must have shape (B, T), got {b.shape}"
-        )
-    c = np.asarray(costs, dtype=np.float64)
-    if c.ndim != 1 or b.shape[1] != c.shape[0]:
-        raise ValueError(
-            f"thresholds {b.shape} and costs {c.shape} disagree on the "
-            "number of types"
-        )
-    if b.size and b.min() < 0:
-        raise ValueError("thresholds must be non-negative")
-    if c.min() <= 0:
-        raise ValueError("audit costs must be positive")
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if scenarios.counts.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"scenario set has {scenarios.counts.shape[1]} types, "
-            f"thresholds have {b.shape[1]}"
-        )
-    return b, c
-
-
-def pal_for_ordering_batch(
-    ordering: Ordering | Sequence[int],
-    thresholds: np.ndarray,
-    scenarios: ScenarioSet,
-    costs: np.ndarray,
-    budget: float,
-    zero_count_rule: str = "unit",
-    *,
-    validate: bool = True,
-) -> np.ndarray:
-    """``Pal(o, b_j, .)`` for a stack of threshold vectors (eq. 1).
-
-    ``thresholds`` has shape ``(B, T)``; the result has the same shape,
-    one :func:`pal_for_ordering` row per vector.  The elementwise kernel
-    arithmetic broadcasts over the batch axis — one fused pass over a
-    ``(B, S)`` matrix instead of ``B`` passes over ``(S,)`` vectors —
-    and the closing expectation is the same pairwise row reduction as
-    the serial kernel (see the module docstring), so every output
-    element is bit-for-bit identical to :func:`pal_for_ordering`.
-    Batched pricing (``FixedSolveCache.price_batch``) relies on that
-    identity for its workers>1 == workers=1 guarantee.
-
-    ``validate=False`` skips the input checks for callers that already
-    ran :func:`_check_batch_inputs` once for the whole pricing pass
-    (``batch_policy_contexts``); the arrays are still coerced.
-    """
-    _check_zero_rule(zero_count_rule)
-    if validate:
-        b, c = _check_batch_inputs(thresholds, scenarios, costs, budget)
-    else:
-        b = np.asarray(thresholds, dtype=np.float64)
-        c = np.asarray(costs, dtype=np.float64)
-    n_vectors, n_types = b.shape
-    Z = scenarios.counts.astype(np.float64, copy=False)
-    weights = scenarios.weights
-    pal = np.zeros((n_vectors, n_types))
-    consumed = np.zeros((n_vectors, Z.shape[0]))
-    for t in ordering:
-        if not 0 <= t < n_types:
-            raise ValueError(f"type index {t} out of range")
-        capacity = np.maximum(np.floor((budget - consumed) / c[t]), 0.0)
-        quota = np.floor(b[:, t] / c[t])[:, None]
-        z_t = Z[:, t]
-        if zero_count_rule == "unit":
-            effective = np.maximum(z_t, 1.0)
-        else:
-            effective = z_t
-        audited = np.minimum(np.minimum(capacity, quota), effective)
-        ratio = audited / np.maximum(z_t, 1.0)
-        pal[:, t] = (ratio * weights).sum(axis=1)
-        consumed = consumed + np.minimum(b[:, t][:, None], z_t * c[t])
-    return pal
 
 
 def pal_for_orderings(

@@ -1,193 +1,49 @@
-"""Pluggable compiled kernel backends for the PalTable hot paths.
+"""Numpy primitives for the PalTable hot paths.
 
 The subset-table build (:class:`~repro.core.pal_table.PalTable`) spends
 its time in two primitives: the predecessor-set **consumption DP** over
 the ``2^T`` subset masks and the per-type **capacity/ratio sweep** that
-turns consumed budget into audited-fraction products.  Both are pure
-elementwise pipelines; this module exposes them behind a tiny backend
-registry so they can run either as plain vectorized numpy (always
-available) or as ``@numba.njit(cache=True)`` machine code when the
-optional :mod:`numba` dependency is installed (the ``kernels`` extra).
+turns consumed budget into audited-fraction products.  Both are
+vectorized, allocation-free numpy pipelines that fill caller-supplied
+buffers; the lazy table (:class:`~repro.core.pal_table.LazyPalTable`)
+reuses the sweep one prefix mask at a time.
 
-Bit-compatibility contract
---------------------------
-Backends must be **bitwise interchangeable** — the engine layer's
-``workers>1 == workers=1`` determinism guarantee and the warm-start
-equivalence tests all compare float results exactly.  Two rules deliver
-that here:
-
-* every kernel computes *elementwise products only* (subtract, divide,
-  floor, clamp, multiply — each value depends on one scenario), where
-  IEEE-754 semantics make compiled and interpreted code agree bit for
-  bit; and
-* the closing pairwise expectation reduction ``(ratio * weights)
-  .sum(axis=-1)`` is **never** reimplemented per backend: every backend
-  fills a product buffer and the caller reduces it through the one
-  shared numpy implementation (:func:`expectation_reduce`).  Numpy's
-  pairwise summation tree depends on its SIMD build; re-deriving it in
-  another compiler would make "bitwise" a per-machine accident.
-
-``numba`` absence is a silent no-op: ``resolve_kernel_backend("auto")``
-falls back to numpy with a single debug-level log note, while an
-explicit ``kernel_backend="numba"`` raises a configuration error that
-names the missing extra.  No telemetry is emitted from this module —
-``repro.core.kernels`` is on the RPL701 hot-loop list; callers
-instrument at their build boundaries.
+Every primitive computes *elementwise products only* (subtract, divide,
+floor, clamp, multiply — each value depends on one scenario).  The
+closing expectation is left to the caller, which reduces the product
+buffer with ``.sum(axis=-1)`` — the same pairwise row reduction as the
+reference walk (:meth:`~repro.core.detection.OrderingPricer.pal`), so
+the eager and lazy tables agree bitwise entry for entry.  No telemetry
+is emitted from this module — ``repro.core.kernels`` is on the RPL701
+hot-loop list; callers instrument at their build boundaries.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-except Exception:  # pragma: no cover - the tested default in CI's dev rows
-    numba = None
-
 __all__ = [
-    "HAS_NUMBA",
-    "KERNEL_BACKENDS",
-    "KernelImplementation",
-    "available_kernel_backends",
-    "expectation_reduce",
-    "get_implementation",
-    "register_kernel_implementation",
+    "dp_consumed",
+    "extension_products",
     "resolve_kernel_backend",
+    "type_products",
 ]
-
-_log = logging.getLogger(__name__)
-
-HAS_NUMBA = numba is not None
-
-#: Accepted values of the ``kernel_backend`` knob.
-KERNEL_BACKENDS = ("auto", "numba", "numpy")
-
-# One debug note per process when "auto" falls back (numba missing).
-_auto_fallback_noted = False
-
-
-# ----------------------------------------------------------------------
-# The backend contract
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelImplementation:
-    """One backend's kernel set; all functions fill preallocated buffers.
-
-    ``dp_consumed(contrib, prev, bit, consumed)``
-        Fill ``consumed[mask, s]`` — budget consumed by the types in
-        ``mask`` — via the lowest-set-bit recursion ``consumed[mask] =
-        consumed[prev[mask]] + contrib[:, bit[mask]]``.
-    ``type_products(consumed, rows, cost, quota, effective, zsafe,
-    weights, budget, out)``
-        For one alert type: ``out[i, s] = (min(min(max(floor((budget -
-        consumed[rows[i], s]) / cost), 0), quota), effective[s]) /
-        zsafe[s]) * weights[s]`` — the expectation *summands*; callers
-        reduce with :func:`expectation_reduce`.
-    ``extension_products(consumed, costs, quota, effective, zsafe,
-    weights, budget, out)``
-        The lazy-table row sweep: same per-element pipeline, but one row
-        per free type against a single consumed vector.
-    ``consumed_step(prev, contrib_col, out)``
-        One DP step ``out = prev + contrib_col`` (the lazy table's
-        per-mask recursion).
-    """
-
-    name: str
-    dp_consumed: Callable
-    type_products: Callable
-    extension_products: Callable
-    consumed_step: Callable
-
-
-_FACTORIES: dict[str, Callable[[], KernelImplementation]] = {}
-_INSTANCES: dict[str, KernelImplementation] = {}
-
-
-def register_kernel_implementation(
-    name: str, factory: Callable[[], KernelImplementation]
-) -> None:
-    """Register a backend factory (built lazily on first resolve)."""
-    if name in _FACTORIES:
-        raise ValueError(f"kernel backend {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """Concrete backend names importable in this process."""
-    return tuple(sorted(_FACTORIES))
 
 
 def resolve_kernel_backend(backend: str = "auto") -> str:
-    """Map a ``kernel_backend`` knob value onto a concrete backend.
-
-    ``"auto"`` prefers numba and silently falls back to numpy (one
-    debug-level note per process) when it is not importable; an explicit
-    ``"numba"`` without the dependency raises a clear configuration
-    error, so a run that *believes* it is compiled can never quietly
-    interpret instead.
-    """
-    global _auto_fallback_noted
-    if backend == "auto":
-        if HAS_NUMBA:
-            return "numba"
-        if not _auto_fallback_noted:
-            _auto_fallback_noted = True
-            _log.debug(
-                "kernel_backend=auto: numba not importable, using the "
-                "pure-numpy kernels (install the 'kernels' extra for "
-                "the JIT path)"
-            )
-        return "numpy"
-    if backend == "numba" and not HAS_NUMBA:
-        raise ValueError(
-            "kernel_backend='numba' requires the optional numba "
-            "dependency (pip install 'repro-audit-games[kernels]'); "
-            "use kernel_backend='auto' to fall back automatically"
-        )
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel_backend {backend!r}; "
-            f"choose from {KERNEL_BACKENDS}"
-        )
-    return backend
+    # Run metadata only: numpy is the one kernel implementation.
+    return "numpy"
 
 
-def get_implementation(backend: str = "auto") -> KernelImplementation:
-    """The :class:`KernelImplementation` for a knob value (memoized)."""
-    name = resolve_kernel_backend(backend)
-    impl = _INSTANCES.get(name)
-    if impl is None:
-        impl = _INSTANCES.setdefault(name, _FACTORIES[name]())
-    return impl
-
-
-def expectation_reduce(products: np.ndarray) -> np.ndarray:
-    """The one shared expectation reduction: pairwise sum over scenarios.
-
-    Every backend funnels its product buffers through this exact numpy
-    reduction (never a reimplementation), which is what makes backends
-    bitwise interchangeable — see the module docstring.
-    """
-    return products.sum(axis=-1)
-
-
-# ----------------------------------------------------------------------
-# numpy backend — vectorized, allocation-free (buffers supplied)
-# ----------------------------------------------------------------------
-
-
-def _dp_consumed_numpy(
+def dp_consumed(
     contrib: np.ndarray,
     prev: np.ndarray,
     bit: np.ndarray,
     consumed: np.ndarray,
 ) -> None:
+    """Fill ``consumed[mask, s]``, the budget consumed by the types in
+    ``mask``, via the lowest-set-bit recursion ``consumed[mask] =
+    consumed[prev[mask]] + contrib[:, bit[mask]]``."""
     consumed[0] = 0.0
     for mask in range(1, consumed.shape[0]):
         np.add(
@@ -196,7 +52,7 @@ def _dp_consumed_numpy(
         )
 
 
-def _type_products_numpy(
+def type_products(
     consumed: np.ndarray,
     rows: np.ndarray,
     cost: float,
@@ -207,6 +63,10 @@ def _type_products_numpy(
     budget: float,
     out: np.ndarray,
 ) -> None:
+    """The expectation summands of one alert type for the predecessor
+    sets ``rows``: ``out[i, s] = (min(min(max(floor((budget -
+    consumed[rows[i], s]) / cost), 0), quota), effective[s]) /
+    zsafe[s]) * weights[s]``."""
     np.take(consumed, rows, axis=0, out=out)
     np.subtract(budget, out, out=out)
     np.divide(out, cost, out=out)
@@ -218,7 +78,7 @@ def _type_products_numpy(
     np.multiply(out, weights[None, :], out=out)
 
 
-def _extension_products_numpy(
+def extension_products(
     consumed: np.ndarray,
     costs: np.ndarray,
     quota: np.ndarray,
@@ -228,6 +88,8 @@ def _extension_products_numpy(
     budget: float,
     out: np.ndarray,
 ) -> None:
+    """The lazy-table row sweep: the :func:`type_products` pipeline with
+    one row per free type against a single consumed vector."""
     np.subtract(budget, consumed[None, :], out=out)
     np.divide(out, costs[:, None], out=out)
     np.floor(out, out=out)
@@ -236,111 +98,3 @@ def _extension_products_numpy(
     np.minimum(out, effective, out=out)
     np.divide(out, zsafe, out=out)
     np.multiply(out, weights[None, :], out=out)
-
-
-def _consumed_step_numpy(
-    prev: np.ndarray, contrib_col: np.ndarray, out: np.ndarray
-) -> None:
-    np.add(prev, contrib_col, out=out)
-
-
-def _numpy_implementation() -> KernelImplementation:
-    return KernelImplementation(
-        name="numpy",
-        dp_consumed=_dp_consumed_numpy,
-        type_products=_type_products_numpy,
-        extension_products=_extension_products_numpy,
-        consumed_step=_consumed_step_numpy,
-    )
-
-
-register_kernel_implementation("numpy", _numpy_implementation)
-
-
-# ----------------------------------------------------------------------
-# numba backend — identical per-element pipelines as explicit loops
-# ----------------------------------------------------------------------
-#
-# These sources are written in the nopython subset and double as the
-# interpreted reference in environments without numba: the parity tests
-# run them *uncompiled* against the numpy backend, so the algorithms are
-# verified everywhere even though only the kernels CI row compiles them.
-
-
-def _dp_consumed_source(contrib, prev, bit, consumed):
-    n_masks, n_s = consumed.shape
-    for s in range(n_s):
-        consumed[0, s] = 0.0
-    for mask in range(1, n_masks):
-        p = prev[mask]
-        j = bit[mask]
-        for s in range(n_s):
-            consumed[mask, s] = consumed[p, s] + contrib[s, j]
-
-
-def _type_products_source(
-    consumed, rows, cost, quota, effective, zsafe, weights, budget, out
-):
-    n_rows = rows.shape[0]
-    n_s = out.shape[1]
-    for i in range(n_rows):
-        r = rows[i]
-        for s in range(n_s):
-            capacity = np.floor((budget - consumed[r, s]) / cost)
-            if capacity < 0.0:
-                capacity = 0.0
-            audited = capacity
-            if quota < audited:
-                audited = quota
-            if effective[s] < audited:
-                audited = effective[s]
-            out[i, s] = (audited / zsafe[s]) * weights[s]
-
-
-def _extension_products_source(
-    consumed, costs, quota, effective, zsafe, weights, budget, out
-):
-    n_free = out.shape[0]
-    n_s = out.shape[1]
-    for i in range(n_free):
-        for s in range(n_s):
-            capacity = np.floor((budget - consumed[s]) / costs[i])
-            if capacity < 0.0:
-                capacity = 0.0
-            audited = capacity
-            if quota[i] < audited:
-                audited = quota[i]
-            if effective[i, s] < audited:
-                audited = effective[i, s]
-            out[i, s] = (audited / zsafe[i, s]) * weights[s]
-
-
-def _consumed_step_source(prev, contrib_col, out):
-    for s in range(prev.shape[0]):
-        out[s] = prev[s] + contrib_col[s]
-
-
-#: The uncompiled nopython sources, importable for interpreted parity
-#: tests in numba-less environments.
-KERNEL_SOURCES = KernelImplementation(
-    name="source",
-    dp_consumed=_dp_consumed_source,
-    type_products=_type_products_source,
-    extension_products=_extension_products_source,
-    consumed_step=_consumed_step_source,
-)
-
-
-def _numba_implementation() -> KernelImplementation:  # pragma: no cover
-    jit = numba.njit(cache=True)
-    return KernelImplementation(
-        name="numba",
-        dp_consumed=jit(_dp_consumed_source),
-        type_products=jit(_type_products_source),
-        extension_products=jit(_extension_products_source),
-        consumed_step=jit(_consumed_step_source),
-    )
-
-
-if HAS_NUMBA:  # pragma: no cover - kernels CI row only
-    register_kernel_implementation("numba", _numba_implementation)

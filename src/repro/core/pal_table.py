@@ -23,23 +23,22 @@ Equivalence: every elementwise operation and the closing pairwise
 expectation reduction are identical to the reference walk
 (:class:`~repro.core.detection.OrderingPricer`); the only divergence is
 the *accumulation order* of the predecessor sum (lowest-set-bit DP order
-versus ordering order), so table rows match the legacy kernel to within
+versus ordering order), so table rows match the reference walk to within
 float accumulation roundoff — ``max |delta Pal| <= 1e-9`` in practice and
-*bit-for-bit* on integer-valued games, where the partial sums are exact.
+*bit-for-bit* on integer-valued games, where the partial sums are exact,
+and on games of one or two types, where at most one predecessor term is
+ever added.
 
-The elementwise pipelines themselves live in
-:mod:`repro.core.kernels` behind the ``kernel_backend`` knob
-(``auto|numba|numpy``): with numba installed they run as
-``@njit(cache=True)`` machine code, otherwise as the vectorized numpy
-fallback — bitwise-equal either way, because every backend reduces its
-product buffers through the one shared pairwise reduction
-(:func:`~repro.core.kernels.expectation_reduce`).
+The elementwise pipelines live in :mod:`repro.core.kernels`; both tables
+reduce their product buffers with ``.sum(axis=-1)``, the reference
+walk's pairwise reduction.
 
-The legacy walk remains the reference implementation and the better
-choice when few orderings share one ``(b, Z)`` — CGGS column generation
-(a handful of columns, many *partial* prefixes, large ``T``) and policy
-evaluation (small supports).  :func:`subset_table_pays` encodes the
-break-even point used by the dispatching call sites.
+Every solver prices through these tables: enumeration through the eager
+:class:`PalTable` (it prices all ``T!`` orderings), CGGS through the
+:class:`LazyPalTable` (its greedy oracle visits ``~T^2`` entries).  The
+reference walk stays for tests, the simulator and small-support policy
+evaluation; :func:`subset_table_pays` encodes the break-even point that
+:func:`~repro.core.detection.pal_for_orderings` dispatches on.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ __all__ = [
 ]
 
 #: Beyond this many alert types the ``2^T`` subset space itself explodes
-#: (memory and build time); callers must fall back to the legacy walk.
+#: (memory and build time); the eager table refuses to build.
 #: Enumeration solving is capped at 7 types (7! orderings) anyway.
 SUBSET_TABLE_TYPE_LIMIT = 12
 
@@ -79,8 +78,8 @@ def subset_table_pays(
     """True when the subset table beats per-ordering walks.
 
     The table costs ``T * 2^(T-1)`` scenario sweeps (plus the ``2^T``
-    consumption DP); pricing ``n`` orderings legacy-style costs
-    ``n * T`` sweeps.  The table pays once ``n > 2^(T-1)`` — e.g. the
+    consumption DP); pricing ``n`` orderings with the reference walk
+    costs ``n * T`` sweeps.  The table pays once ``n > 2^(T-1)`` — e.g. the
     full ordering set ``T!`` for every ``T >= 3``.  Above ``type_limit``
     the mask space itself is the bottleneck and the table never pays.
     """
@@ -109,14 +108,9 @@ class PalTable:
     ``E_Z[n_t / Z_t]`` given that exactly the types in ``mask`` were
     audited before ``t``; entries with ``t`` in ``mask`` are unused
     (an ordering never revisits a type).
-
-    ``kernel_backend`` selects the compiled-kernel implementation
-    (``"auto"`` | ``"numba"`` | ``"numpy"``, see
-    :mod:`repro.core.kernels`); all choices build bitwise-identical
-    tables.
     """
 
-    __slots__ = ("_pricer", "_table", "_kernel_backend")
+    __slots__ = ("_pricer", "_table")
 
     def __init__(
         self,
@@ -127,13 +121,9 @@ class PalTable:
         zero_count_rule: str = "unit",
         *,
         scenario_chunk: int | None = None,
-        kernel_backend: str = "auto",
     ) -> None:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
-        )
-        self._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
         )
         self._build(scenario_chunk)
 
@@ -142,25 +132,16 @@ class PalTable:
         cls,
         pricer: OrderingPricer,
         scenario_chunk: int | None = None,
-        kernel_backend: str = "auto",
     ) -> "PalTable":
         """Build from an already-validated :class:`OrderingPricer`."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         table._build(scenario_chunk)
         return table
 
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
-
-    @property
-    def kernel_backend(self) -> str:
-        """The resolved kernel backend this table was built with."""
-        return self._kernel_backend
 
     @property
     def table(self) -> np.ndarray:
@@ -175,25 +156,17 @@ class PalTable:
         if n_types > SUBSET_TABLE_TYPE_LIMIT:
             raise ValueError(
                 f"{n_types} alert types give 2^{n_types} predecessor "
-                f"sets (> 2^{SUBSET_TABLE_TYPE_LIMIT}); use the legacy "
-                "per-ordering kernel instead"
+                f"sets (> 2^{SUBSET_TABLE_TYPE_LIMIT}); use the "
+                "LazyPalTable instead"
             )
         # Telemetry at the build boundary only — the DP loops below stay
-        # obs-free (RPL701).  The span covers the (first-call) JIT
-        # compile too, so kernel-build time is observable per backend.
-        obs.counter(
-            "repro_kernel_builds_total", backend=self._kernel_backend
-        )
+        # obs-free (RPL701).
         obs.counter("repro_pal_table_builds_total")
-        with obs.span(
-            "pal_table.build", types=n_types,
-            backend=self._kernel_backend,
-        ):
+        with obs.span("pal_table.build", types=n_types):
             self._build_table(scenario_chunk, n_types)
 
     def _build_table(self, scenario_chunk: int | None, n_types: int) -> None:
         p = self._pricer
-        impl = kernels.get_implementation(self._kernel_backend)
         n_masks = 1 << n_types
         n_scenarios = p.counts.shape[0]
         if scenario_chunk is None:
@@ -236,10 +209,10 @@ class PalTable:
                 work = work_bufs.setdefault(
                     width, np.empty((n_rows, width))
                 )
-            impl.dp_consumed(contrib, prev, bit, consumed)
+            kernels.dp_consumed(contrib, prev, bit, consumed)
             for t in range(n_types):
                 rows = rows_without[t]
-                impl.type_products(
+                kernels.type_products(
                     consumed,
                     rows,
                     float(p.costs[t]),
@@ -250,14 +223,14 @@ class PalTable:
                     float(p.budget),
                     work,
                 )
-                table[t, rows] += kernels.expectation_reduce(work)
+                table[t, rows] += work.sum(axis=-1)
         self._table = table
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` assembled by table lookup.
 
         Works for partial orderings too (unplaced types get 0), matching
-        the legacy walk's semantics.
+        the reference walk's semantics.
         """
         n_types = self._pricer.n_types
         pal = np.zeros(n_types)
@@ -305,15 +278,14 @@ class LazyPalTable:
     Every elementwise operation and the closing pairwise expectation
     reduction mirror :meth:`PalTable._build` entry for entry, so lazy
     and eager tables agree bitwise; only the set of *computed* entries
-    differs.  The per-mask fills ride the same compiled primitives as
-    the eager build (:mod:`repro.core.kernels`, selected by the same
-    ``kernel_backend`` knob).  Because no ``2^T`` array is ever
-    allocated, this variant has no :data:`SUBSET_TABLE_TYPE_LIMIT` —
-    memory scales with the masks actually visited.
+    differs.  The per-mask fills ride the same numpy primitives as the
+    eager build (:mod:`repro.core.kernels`).  Because no ``2^T`` array
+    is ever allocated, this variant has no
+    :data:`SUBSET_TABLE_TYPE_LIMIT` — memory scales with the masks
+    actually visited.
     """
 
-    __slots__ = ("_pricer", "_consumed", "_rows", "_entries",
-                 "_kernel_backend")
+    __slots__ = ("_pricer", "_consumed", "_rows", "_entries")
 
     def __init__(
         self,
@@ -322,29 +294,17 @@ class LazyPalTable:
         costs: np.ndarray,
         budget: float,
         zero_count_rule: str = "unit",
-        *,
-        kernel_backend: str = "auto",
     ) -> None:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
         )
-        self._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         self._init_caches()
 
     @classmethod
-    def from_pricer(
-        cls,
-        pricer: OrderingPricer,
-        kernel_backend: str = "auto",
-    ) -> "LazyPalTable":
+    def from_pricer(cls, pricer: OrderingPricer) -> "LazyPalTable":
         """Build from an already-validated :class:`OrderingPricer`."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         table._init_caches()
         return table
 
@@ -356,11 +316,6 @@ class LazyPalTable:
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
-
-    @property
-    def kernel_backend(self) -> str:
-        """The resolved kernel backend used for sweep fills."""
-        return self._kernel_backend
 
     def _consumed_for(self, mask: int) -> np.ndarray:
         """Per-scenario budget consumed by the types in ``mask``.
@@ -374,16 +329,10 @@ class LazyPalTable:
             if mask == 0:
                 cached = np.zeros(self._pricer.counts.shape[0])
             else:
-                impl = kernels.get_implementation(self._kernel_backend)
                 low = mask & -mask
-                prev = self._consumed_for(mask ^ low)
-                cached = np.empty_like(prev)
-                impl.consumed_step(
-                    prev,
-                    np.ascontiguousarray(
-                        self._pricer.contrib[:, low.bit_length() - 1]
-                    ),
-                    cached,
+                cached = (
+                    self._consumed_for(mask ^ low)
+                    + self._pricer.contrib[:, low.bit_length() - 1]
                 )
             self._consumed[mask] = cached
         return cached
@@ -405,14 +354,13 @@ class LazyPalTable:
         row = self._rows.get(mask)
         if row is None:
             p = self._pricer
-            impl = kernels.get_implementation(self._kernel_backend)
             free = [
                 t for t in range(p.n_types) if not (mask >> t) & 1
             ]
             free_idx = np.asarray(free, dtype=np.int64)
             consumed = self._consumed_for(mask)
             products = np.empty((len(free), consumed.shape[0]))
-            impl.extension_products(
+            kernels.extension_products(
                 consumed,
                 np.ascontiguousarray(p.costs[free_idx]),
                 np.ascontiguousarray(p.quota[free_idx]),
@@ -423,7 +371,7 @@ class LazyPalTable:
                 products,
             )
             row = np.zeros(p.n_types)
-            row[free] = kernels.expectation_reduce(products)
+            row[free] = products.sum(axis=-1)
             self._rows[mask] = row
         return row
 
@@ -431,7 +379,7 @@ class LazyPalTable:
         """``Pal(o, b, .)`` assembled from lazily computed entries.
 
         Works for partial orderings too (unplaced types get 0), matching
-        the legacy walk's semantics.
+        the reference walk's semantics.
         """
         p = self._pricer
         n_types = p.n_types

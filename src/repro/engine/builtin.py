@@ -185,17 +185,13 @@ def _solve_enumeration(
     started = time.perf_counter()
     cache = cache or FixedSolveCache(game, scenarios)
     thresholds = _full_coverage(game, config.thresholds)
-    # Pass kernel knobs only when they differ from their defaults: kwargs
+    # Pass options only when they differ from their defaults: kwargs
     # enter the cache's memo scope, and a defaulted value must share
     # solutions with the kwarg-less enumeration solvers used by
     # ishm/bruteforce.
     extra: dict[str, object] = {}
     if config.max_orderings != DEFAULT_MAX_ORDERINGS:
         extra["max_orderings"] = config.max_orderings
-    if config.subset_table is not None:
-        extra["subset_table"] = config.subset_table
-    if config.kernel_backend != "auto":
-        extra["kernel_backend"] = config.kernel_backend
     if not config.compress:
         extra["compress"] = config.compress
     if config.prune:
@@ -242,8 +238,6 @@ def _solve_cggs(
         max_columns=config.max_columns,
         reduced_cost_tol=config.reduced_cost_tol,
         warm_start_pool=config.warm_start_pool,
-        subset_table=config.subset_table,
-        kernel_backend=config.kernel_backend,
         warm_start=config.warm_start,
     )(thresholds)
     return finalize_result(

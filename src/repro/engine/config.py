@@ -142,13 +142,6 @@ class SolverConfig:
                     f"unknown LP backend {kwargs['backend']!r}; "
                     f"choose from {available_backends()}"
                 )
-        if "kernel_backend" in kwargs:
-            from ..core.kernels import resolve_kernel_backend
-
-            # Validation only (typos and kernel_backend=numba without
-            # the dependency fail at configuration time); the knob
-            # itself is stored verbatim so configs echo what was asked.
-            resolve_kernel_backend(str(kwargs["kernel_backend"]))
         return cls(**kwargs)
 
     def replace(self, **changes: object) -> "SolverConfig":
@@ -213,21 +206,13 @@ class _FixedThresholdConfig(SolverConfig):
 class EnumerationConfig(_FixedThresholdConfig):
     """Exact master LP over all ``|T|!`` ordering columns.
 
-    ``subset_table=None`` auto-selects the subset-memoized detection
-    kernel (``T * 2^(T-1)`` sweeps instead of ``T! * T``); ``compress``
-    merges duplicate scenario rows before pricing.  Both default on —
-    set ``subset_table=false`` / ``compress=false`` to pin the legacy
-    per-ordering reference kernel.  ``prune=true`` additionally drops
-    dominated rows/columns from each master LP before solving (lossless;
-    off by default so cached solutions stay bitwise comparable).
-    ``kernel_backend`` selects the compiled-kernel implementation for
-    the subset tables (``auto``/``numba``/``numpy``, see
-    :mod:`repro.core.kernels`); all choices are bitwise interchangeable.
+    ``compress`` (default on) merges duplicate scenario rows before
+    pricing.  ``prune=true`` additionally drops dominated rows/columns
+    from each master LP before solving (lossless; off by default so
+    cached solutions stay bitwise comparable).
     """
 
     max_orderings: int = 5040
-    subset_table: bool | None = None
-    kernel_backend: str = "auto"
     compress: bool = True
     prune: bool = False
 
@@ -236,21 +221,14 @@ class EnumerationConfig(_FixedThresholdConfig):
 class CGGSConfig(_FixedThresholdConfig):
     """Algorithm 1 (Column Generation Greedy Search) options.
 
-    ``subset_table`` picks the greedy-oracle kernel: ``none`` (default)
-    auto-selects the lazy subset table for ``|T| >= 3``, ``lazy``/``true``
-    force the lazy/eager table, ``false`` pins the legacy per-candidate
-    walk.  ``warm_start`` re-enters master re-solves from the previous
-    optimal basis on warm-capable LP backends (``backend=simplex``);
-    the scipy/HiGHS backend always cold-solves.  ``kernel_backend``
-    selects the compiled-kernel implementation for the subset tables
-    (``auto``/``numba``/``numpy``, see :mod:`repro.core.kernels`).
+    ``warm_start`` re-enters master re-solves from the previous optimal
+    basis on warm-capable LP backends (``backend=simplex``); the
+    scipy/HiGHS backend always cold-solves.
     """
 
     max_columns: int = 200
     reduced_cost_tol: float = 1e-7
     warm_start_pool: int = 48
-    subset_table: bool | str | None = None
-    kernel_backend: str = "auto"
     warm_start: bool = True
 
 

@@ -70,7 +70,7 @@ def _price_chunk(
     if not obs.enabled():
         obs.enable()
     with obs.adopt_span_path(span_path):
-        with obs.span("price_chunk", vectors=len(vectors)):
+        with obs.span("price_chunk"):
             return solver.solve_batch(vectors)
 
 

@@ -17,18 +17,16 @@ Table V/VI quantify the (small) quality loss versus full enumeration.
 
 Three structure-exploiting fast paths ride under the algorithm unchanged:
 
-* **Subset-table oracle** (``subset_table``, auto-enabled for ``|T| >=
-  3``): the greedy append step prices all ``|T| - k`` one-type
-  extensions of the current prefix in one vectorized sweep of the
+* **Subset-table oracle**: every probe prices through a
   :class:`~repro.core.pal_table.LazyPalTable` (entries computed on first
   touch, memoized across greedy calls and bitwise-equal to the eager
-  table) instead of one legacy scenario walk per candidate; scoring then
-  collapses to a linear projection of the ``Pal`` row (see
+  table), so the greedy append step prices all ``|T| - k`` one-type
+  extensions of the current prefix in one vectorized sweep.  Scoring
+  then collapses to a linear projection of the ``Pal`` row (see
   :meth:`CGGSSolver._greedy_ordering_table`), so no per-candidate
-  ``(E, V)`` utility matrix is ever materialized.  Table entries match
-  the walk to ``<= 1e-9`` (bitwise on integer-valued games); pass
-  ``subset_table=False`` to pin the legacy reference oracle, or
-  ``True`` for the eager ``T * 2^(T-1)`` table.
+  ``(E, V)`` utility matrix is ever materialized.  Games whose payoff
+  model or attack map overrides the utility or detection kernels keep
+  the generic per-candidate oracle on the same table.
 * **Warm-started master re-solves**: with the ``"simplex"`` backend, the
   restricted master re-enters from the previous optimal basis after each
   added column instead of cold two-phase solving (see
@@ -51,15 +49,9 @@ import numpy as np
 
 from .. import obs
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
 from ..core.policy import Ordering, random_ordering
 from ..distributions.joint import ScenarioSet
-from .master import (
-    FixedThresholdSolution,
-    MasterProblem,
-    PolicyContext,
-    _coerce_subset_table,
-)
+from .master import FixedThresholdSolution, MasterProblem, PolicyContext
 
 __all__ = ["CGGSSolver", "CGGSResult"]
 
@@ -76,9 +68,8 @@ class CGGSResult(FixedThresholdSolution):
 class CGGSSolver:
     """Algorithm 1: column generation with a greedy ordering oracle.
 
-    ``subset_table=None`` (default) auto-enables the vectorized PalTable
-    oracle whenever the type count supports it; ``warm_start`` re-enters
-    master re-solves from the previous basis on warm-capable backends.
+    ``warm_start`` re-enters master re-solves from the previous basis on
+    warm-capable backends.
     """
 
     def __init__(
@@ -91,8 +82,6 @@ class CGGSSolver:
         reduced_cost_tol: float = 1e-7,
         seed_orderings: tuple[Ordering, ...] = (),
         warm_start_pool: int = 48,
-        subset_table: bool | str | None = None,
-        kernel_backend: str = "auto",
         warm_start: bool = True,
     ) -> None:
         self.game = game
@@ -107,12 +96,6 @@ class CGGSSolver:
         # neighbouring vectors ISHM probes next.
         self.warm_start_pool = warm_start_pool
         self._pool: dict[tuple[int, ...], Ordering] = {}
-        if subset_table is None:
-            # The lazy table has no 2^T blow-up (it only materializes
-            # visited masks), so the auto rule has no upper type cap.
-            subset_table = "lazy" if game.n_types >= 3 else False
-        self.subset_table = _coerce_subset_table(subset_table)
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.warm_start = bool(warm_start)
         # The deduplicated LP rows depend only on the game: computed
         # once here and shared by every probe's context.
@@ -126,8 +109,7 @@ class CGGSSolver:
             self.game,
             self.scenarios,
             thresholds,
-            subset_table=self.subset_table,
-            kernel_backend=self.kernel_backend,
+            lazy=True,
             representative_rows=self._rep_rows,
         )
         master = MasterProblem(
@@ -203,15 +185,15 @@ class CGGSSolver:
         cost means maximizing the dual-weighted utility score of the
         (partially built) ordering.
 
-        All ``|T| - k`` candidate extensions of the current prefix are
-        priced in one batch (:meth:`PolicyContext.extension_utilities`)
-        — a pure table lookup when the context rides the PalTable, the
-        cached legacy walks otherwise.  The per-candidate score and the
-        first-strict-improvement tie-break are unchanged from the
-        reference implementation.
+        When the closed form applies (:meth:`_linear_scores_exact`) this
+        delegates to :meth:`_greedy_ordering_table`.  Otherwise all
+        ``|T| - k`` candidate extensions of the current prefix are priced
+        in one table lookup (:meth:`PolicyContext.extension_utilities`)
+        and scored one ``(E, V)`` utility matrix at a time, with a
+        first-strict-improvement tie-break.
         """
         n_types = self.game.n_types
-        if self.subset_table and self._linear_scores_exact():
+        if self._linear_scores_exact():
             return self._greedy_ordering_table(context, duals)
         prefix: tuple[int, ...] = ()
         remaining = list(range(n_types))
@@ -268,7 +250,8 @@ class CGGSSolver:
         all.  The assembled ``Pal`` row is seeded into the context so the
         master prices the chosen column without re-entering any kernel.
         Same argmax and first-strict-improvement tie-break as the
-        reference oracle (scores differ only by float reassociation).
+        generic oracle in :meth:`_greedy_ordering` (scores differ only
+        by float reassociation).
         """
         payoffs = self.game.payoffs
         probs = self.game.attack_map.probabilities

@@ -5,15 +5,14 @@ of eq. 5 with fixed thresholds can be solved to optimality by including
 all ``|T|!`` ordering columns — the paper's "solving the linear program to
 optimality" reference point for Tables III-VII.
 
-Since the full ordering set is priced for every threshold vector, the
-detection kernels run through the subset-memoized
-:class:`~repro.core.pal_table.PalTable` by default (``T * 2^(T-1)``
-scenario sweeps per vector instead of ``T! * T``), and the scenario set
-is :meth:`~repro.distributions.joint.ScenarioSet.compressed` once at
+Since the full ordering set is priced for every threshold vector, each
+vector's detection rows come from one subset-memoized
+:class:`~repro.core.pal_table.PalTable` (``T * 2^(T-1)`` scenario sweeps
+per vector instead of ``T! * T``), and the scenario set is
+:meth:`~repro.distributions.joint.ScenarioSet.compressed` once at
 construction (Monte-Carlo draws over small integer supports repeat
-heavily; identical rows are merged with aggregated weights).  Both are
-exact rewrites of the same expectation — pass ``subset_table=False`` /
-``compress=False`` to pin the legacy reference behavior.
+heavily; identical rows are merged with aggregated weights — pass
+``compress=False`` to keep the raw set).
 
 Every solve also shares one *LP skeleton* per solver instance: the master
 problems of different threshold vectors are structurally identical (same
@@ -30,8 +29,6 @@ import math
 import numpy as np
 
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
-from ..core.pal_table import subset_table_pays
 from ..core.policy import all_orderings
 from ..distributions.joint import ScenarioSet
 from .master import (
@@ -39,7 +36,6 @@ from .master import (
     MasterProblem,
     MasterSkeleton,
     PolicyContext,
-    batch_policy_contexts,
 )
 
 __all__ = ["EnumerationSolver", "DEFAULT_MAX_ORDERINGS"]
@@ -53,17 +49,6 @@ class EnumerationSolver:
 
     Parameters
     ----------
-    subset_table:
-        Price ordering columns from the subset-memoized table instead of
-        one kernel walk per ordering.  ``None`` (default) auto-enables
-        it whenever the table amortizes (every ``|T| >= 3`` game here,
-        since the full ``|T|!`` set is always priced); the legacy walk
-        remains available via ``False`` as the bitwise reference.
-    kernel_backend:
-        Compiled-kernel selection for the subset tables
-        (``"auto"`` | ``"numba"`` | ``"numpy"``, see
-        :mod:`repro.core.kernels`); all choices price bitwise
-        identically.
     compress:
         Deduplicate identical scenario rows (weight-aggregating) once at
         construction.  Exactly-enumerated sets are duplicate-free and
@@ -82,8 +67,6 @@ class EnumerationSolver:
         scenarios: ScenarioSet,
         backend: str = "scipy",
         max_orderings: int = DEFAULT_MAX_ORDERINGS,
-        subset_table: bool | None = None,
-        kernel_backend: str = "auto",
         compress: bool = True,
         prune: bool = False,
     ) -> None:
@@ -97,10 +80,6 @@ class EnumerationSolver:
         self.scenarios = scenarios.compressed() if compress else scenarios
         self.backend = backend
         self._orderings = all_orderings(game.n_types)
-        if subset_table is None:
-            subset_table = subset_table_pays(n_orderings, game.n_types)
-        self.subset_table = bool(subset_table)
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.prune = bool(prune)
         # Shared across every solve of this instance: the deduplicated
         # LP rows depend only on the game, the skeleton additionally on
@@ -112,51 +91,12 @@ class EnumerationSolver:
 
     def solve(self, thresholds: np.ndarray) -> FixedThresholdSolution:
         """Optimal restricted-strategy-space mixed policy for ``b``."""
-        return self._solve_context(
-            PolicyContext(
-                self.game,
-                self.scenarios,
-                thresholds,
-                subset_table=self.subset_table,
-                kernel_backend=self.kernel_backend,
-                representative_rows=self._rep_rows,
-            )
-        )
-
-    def solve_batch(
-        self, thresholds_batch: np.ndarray
-    ) -> list[FixedThresholdSolution]:
-        """Price a ``(B, T)`` stack of threshold vectors in one pass.
-
-        The detection kernels for all vectors are built batched (one
-        subset table per vector, or one vectorized legacy sweep per
-        ordering — matching whatever :meth:`solve` uses); the per-vector
-        master LPs then run on the pre-warmed contexts, all sharing this
-        solver's LP skeleton.  Results are returned in input order and
-        are bit-for-bit identical to ``[solve(b) for b in batch]`` — the
-        parallel pricing layer depends on that identity.
-        """
-        arr = np.asarray(thresholds_batch, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(
-                f"thresholds batch must be 2-D (B, T), got {arr.shape}"
-            )
-        if arr.shape[0] == 0:
-            return []
-        contexts = batch_policy_contexts(
+        context = PolicyContext(
             self.game,
             self.scenarios,
-            arr,
-            self._orderings,
-            subset_table=self.subset_table,
-            kernel_backend=self.kernel_backend,
+            thresholds,
             representative_rows=self._rep_rows,
         )
-        return [self._solve_context(context) for context in contexts]
-
-    def _solve_context(
-        self, context: PolicyContext
-    ) -> FixedThresholdSolution:
         master = MasterProblem(
             context, backend=self.backend, skeleton=self._skeleton
         )
@@ -170,3 +110,20 @@ class EnumerationSolver:
             n_columns=fixed.n_columns,
             adversary_utilities=fixed.adversary_utilities,
         )
+
+    def solve_batch(
+        self, thresholds_batch: np.ndarray
+    ) -> list[FixedThresholdSolution]:
+        """Solve a ``(B, T)`` stack of threshold vectors, in input order.
+
+        Every solve shares this solver's LP skeleton and row dedupe, and
+        the results are exactly ``[solve(b) for b in batch]`` — the
+        parallel pricing layer depends on that identity.
+        """
+        arr = np.asarray(thresholds_batch, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(
+                f"thresholds batch must be 2-D (B, T), got {arr.shape}"
+            )
+        return [self.solve(b) for b in arr]
+

@@ -8,9 +8,10 @@ With ``b`` fixed, the auditor's problem is the linear program
                    (u_e >= 0 when adversaries may refrain)
 
 restricted to a column set ``Q`` of orderings.  :class:`MasterProblem`
-builds and incrementally extends this LP; :class:`PolicyContext` caches the
-expensive per-ordering detection vectors so that CGGS, enumeration, ISHM
-and the baselines all share one kernel-evaluation cache per ``(b, Z)``.
+builds and incrementally extends this LP; :class:`PolicyContext` prices
+the per-ordering detection vectors from one subset-memoized ``Pal`` table
+per ``(b, Z)`` (eager for enumeration, lazy for CGGS) and caches them, so
+CGGS, enumeration, ISHM and the baselines share one pricing path.
 
 The LP layer is *incremental* and *structure-exploiting*:
 
@@ -44,14 +45,9 @@ from typing import Sequence
 import numpy as np
 
 from .. import faults, obs
-from ..core.detection import (
-    OrderingPricer,
-    _check_batch_inputs,
-    pal_for_ordering_batch,
-)
+from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
-from ..core.pal_table import LazyPalTable, PalTable, subset_table_pays
+from ..core.pal_table import LazyPalTable, PalTable
 from ..core.objective import best_responses
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
@@ -69,27 +65,7 @@ __all__ = [
     "MasterProblem",
     "MasterSkeleton",
     "FixedThresholdSolution",
-    "batch_policy_contexts",
 ]
-
-
-def _coerce_subset_table(value: bool | str | None) -> bool | str:
-    """Normalize a ``subset_table`` knob; reject unknown strings.
-
-    ``"lazy"`` selects the :class:`~repro.core.pal_table.LazyPalTable`;
-    booleans pick the eager table or the legacy walk.  Anything else —
-    e.g. a typo'd ``"lzay"`` — raises here, at construction time,
-    instead of silently truth-testing into the eager table and failing
-    (or quietly paying ``2^T``) deep inside the first solve.
-    """
-    if isinstance(value, str):
-        if value != "lazy":
-            raise ValueError(
-                f"subset_table must be True, False or 'lazy', "
-                f"got {value!r}"
-            )
-        return "lazy"
-    return bool(value)
 
 
 def _master_u_block(e_rows: np.ndarray, n_e: int) -> np.ndarray:
@@ -144,22 +120,20 @@ class PolicyContext:
     are memoized by ordering tuple, which makes the CGGS greedy subproblem
     (many shared prefixes) and repeated master solves cheap.
 
-    Kernel selection: cache misses price through a shared validate-once
-    :class:`~repro.core.detection.OrderingPricer` (the reference walk);
-    ``subset_table=True`` switches to the eager
-    :class:`~repro.core.pal_table.PalTable` (``T * 2^(T-1)`` sweeps up
-    front, then pure lookups — enumeration's choice, since it prices the
-    full ordering set), and ``subset_table="lazy"`` to the
-    :class:`~repro.core.pal_table.LazyPalTable` (bitwise-identical
-    entries computed on first touch — CGGS's choice, whose greedy
-    oracle only visits the masks along its construction paths and
-    prices every one-type extension of the current prefix in one
-    vectorized sweep via :meth:`extension_utilities`).
+    Cache misses price through a subset table built on first use: the
+    eager :class:`~repro.core.pal_table.PalTable` by default
+    (``T * 2^(T-1)`` sweeps up front, then pure lookups — enumeration's
+    choice, since it prices the full ordering set), or with ``lazy=True``
+    the :class:`~repro.core.pal_table.LazyPalTable` (bitwise-identical
+    entries computed on first touch — CGGS's choice, whose greedy oracle
+    only visits the masks along its construction paths and prices every
+    one-type extension of the current prefix in one vectorized sweep via
+    :meth:`extension_utilities`).
 
     ``representative_rows`` lets callers that build many contexts for
     one game share the deduplicated LP row set instead of recomputing it
     per context.  Any caller that builds one context per probe (the
-    enumeration and CGGS solvers, batched pricing) must compute
+    enumeration and CGGS solvers) must compute
     :meth:`representative_rows_for` once and pass it here: the dedupe
     walks the full ``|E| x |V|`` attack grid, and on the paper's EMR game
     it cost more than the rest of a CGGS probe.
@@ -171,8 +145,7 @@ class PolicyContext:
         scenarios: ScenarioSet,
         thresholds: np.ndarray,
         *,
-        subset_table: bool | str = False,
-        kernel_backend: str = "auto",
+        lazy: bool = False,
         representative_rows: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.game = game
@@ -185,18 +158,12 @@ class PolicyContext:
             )
         self._pal_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._utility_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._costs = game.costs
         self._rows = (
             representative_rows
             if representative_rows is not None
             else self.representative_rows_for(game)
         )
-        self.subset_table = _coerce_subset_table(subset_table)
-        # Validate the knob at construction time (typos and an explicit
-        # "numba" without the dependency fail here, not mid-solve); the
-        # resolved name is what the subset tables are built with.
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
-        self._pricer: OrderingPricer | None = None
+        self._lazy = lazy
         self._table: PalTable | LazyPalTable | None = None
 
     @classmethod
@@ -244,35 +211,26 @@ class PolicyContext:
         """(adversary, victim) indices of the deduplicated LP rows."""
         return self._rows
 
-    def _kernel(self) -> OrderingPricer | PalTable | LazyPalTable:
-        """The pricing kernel for cache misses (validated exactly once)."""
-        if self._pricer is None:
-            self._pricer = OrderingPricer(
+    def pal_table(self) -> PalTable | LazyPalTable:
+        """The subset table that prices this context (built on first use)."""
+        if self._table is None:
+            pricer = OrderingPricer(
                 self.thresholds,
                 self.scenarios,
-                self._costs,
+                self.game.costs,
                 self.game.budget,
                 self.game.zero_count_rule,
             )
-        if self.subset_table:
-            if self._table is None:
-                factory = (
-                    LazyPalTable
-                    if self.subset_table == "lazy"
-                    else PalTable
-                )
-                self._table = factory.from_pricer(
-                    self._pricer, kernel_backend=self.kernel_backend
-                )
-            return self._table
-        return self._pricer
+            factory = LazyPalTable if self._lazy else PalTable
+            self._table = factory.from_pricer(pricer)
+        return self._table
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` for a complete or partial ordering (cached)."""
         key = tuple(ordering)
         cached = self._pal_cache.get(key)
         if cached is None:
-            cached = self._kernel().pal(key)
+            cached = self.pal_table().pal(key)
             self._pal_cache[key] = cached
         return cached
 
@@ -281,10 +239,9 @@ class PolicyContext:
     ) -> None:
         """Pre-fill the ``Pal`` cache for one ordering.
 
-        Batched pricing computes detection vectors for many threshold
-        vectors in one pass (:func:`batch_policy_contexts`) and plants
-        each row here, so the master solve that follows never re-enters
-        the per-ordering kernel.
+        The CGGS closed-form greedy oracle assembles the chosen
+        ordering's detection row while scoring it and plants it here, so
+        the master solve that follows never re-enters the table.
         """
         self._pal_cache[tuple(ordering)] = np.asarray(
             pal, dtype=np.float64
@@ -308,16 +265,14 @@ class PolicyContext:
         """``Ua`` matrices for every one-type extension of ``prefix``.
 
         Returns a ``(len(candidates), E, V)`` stack, one utility matrix
-        per ``prefix + (t,)``, in candidate order.  This is the CGGS
-        greedy-oracle hot path: with ``subset_table=True`` the detection
-        rows of *all* extensions come from one vectorized
-        :class:`~repro.core.pal_table.PalTable` lookup (``Pal`` of an
+        per ``prefix + (t,)``, in candidate order.  This is the generic
+        CGGS greedy oracle's hot path: the detection rows of *all*
+        extensions come from one vectorized table lookup (``Pal`` of an
         extension is the prefix row with entry ``t`` filled from
         ``table[t, mask(prefix)]`` — bitwise what :meth:`PalTable.pal`
-        assembles), instead of one legacy scenario walk per candidate.
-        Every computed row/matrix lands in the ordinary caches, so later
-        :meth:`pal`/:meth:`utilities` calls for the chosen extension are
-        free and bitwise identical.
+        assembles).  Every computed row/matrix lands in the ordinary
+        caches, so later :meth:`pal`/:meth:`utilities` calls for the
+        chosen extension are free and bitwise identical.
         """
         prefix = tuple(int(t) for t in prefix)
         cands = [int(t) for t in candidates]
@@ -325,34 +280,22 @@ class PolicyContext:
         for t in cands:
             if not 0 <= t < n_types:
                 raise ValueError(f"type index {t} out of range")
-        if self.subset_table:
-            missing = [
-                t for t in cands if prefix + (t,) not in self._pal_cache
-            ]
-            if missing:
-                kernel = self._kernel()  # a (lazy) PalTable
-                base = self.pal(prefix)
-                mask = 0
-                for t in prefix:
-                    mask |= 1 << t
-                values = kernel.extension_values(mask, missing)
-                for t, value in zip(missing, values, strict=True):
-                    row = base.copy()
-                    row[t] = value
-                    self._pal_cache[prefix + (t,)] = row
+        missing = [
+            t for t in cands if prefix + (t,) not in self._pal_cache
+        ]
+        if missing:
+            base = self.pal(prefix)
+            mask = 0
+            for t in prefix:
+                mask |= 1 << t
+            values = self.pal_table().extension_values(mask, missing)
+            for t, value in zip(missing, values, strict=True):
+                row = base.copy()
+                row[t] = value
+                self._pal_cache[prefix + (t,)] = row
         return np.stack(
             [self.utilities(prefix + (t,)) for t in cands], axis=0
         )
-
-    def pal_table(self) -> PalTable | LazyPalTable:
-        """The (lazily built) subset table; requires ``subset_table``."""
-        if not self.subset_table:
-            raise RuntimeError(
-                "context was built without subset_table"
-            )
-        table = self._kernel()
-        assert isinstance(table, (PalTable, LazyPalTable))
-        return table
 
     @property
     def kernel_evaluations(self) -> int:
@@ -836,85 +779,3 @@ class MasterProblem:
             solution.dual_eq[0]
         )
         return duals, y_eq
-
-
-def batch_policy_contexts(
-    game: AuditGame,
-    scenarios: ScenarioSet,
-    thresholds_batch: np.ndarray,
-    orderings: Sequence[Ordering],
-    *,
-    subset_table: bool | None = None,
-    kernel_backend: str = "auto",
-    representative_rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[PolicyContext]:
-    """One pre-warmed :class:`PolicyContext` per threshold vector.
-
-    Two batched pricing strategies, both producing contexts whose master
-    solves are bit-for-bit identical to cold single-vector solves:
-
-    * **Subset tables** (``subset_table=True``, the auto choice whenever
-      the ordering set is large enough to amortize the build — see
-      :func:`~repro.core.pal_table.subset_table_pays`): each context
-      prices through its own per-vector
-      :class:`~repro.core.pal_table.PalTable` — exactly the kernel the
-      single-vector solve path uses, hence the exact identity.
-    * **Legacy batched walks** (small ordering sets, e.g. 2-type
-      games): the detection vectors for *all* candidate threshold
-      vectors are built per ordering in a single vectorized pass
-      (:func:`~repro.core.detection.pal_for_ordering_batch`, validated
-      once for the whole pass) and planted into the per-vector caches;
-      the batched walk shares the serial kernel's pairwise expectation
-      reduction, so the seeded rows equal the serial rows bitwise.
-
-    ``representative_rows`` (shared LP row dedup) is computed once here
-    when not supplied and reused by every context in the batch.
-    """
-    arr = np.asarray(thresholds_batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != game.n_types:
-        raise ValueError(
-            f"thresholds batch must have shape (B, {game.n_types}), "
-            f"got {arr.shape}"
-        )
-    if subset_table is None:
-        subset_table = subset_table_pays(len(orderings), game.n_types)
-    if representative_rows is None:
-        representative_rows = PolicyContext.representative_rows_for(game)
-    if subset_table:
-        return [
-            PolicyContext(
-                game,
-                scenarios,
-                b,
-                subset_table=True,
-                kernel_backend=kernel_backend,
-                representative_rows=representative_rows,
-            )
-            for b in arr
-        ]
-    contexts = [
-        PolicyContext(
-            game,
-            scenarios,
-            b,
-            kernel_backend=kernel_backend,
-            representative_rows=representative_rows,
-        )
-        for b in arr
-    ]
-    if len(arr) == 0:
-        return contexts
-    _check_batch_inputs(arr, scenarios, game.costs, game.budget)
-    for ordering in orderings:
-        pal_rows = pal_for_ordering_batch(
-            ordering,
-            arr,
-            scenarios,
-            game.costs,
-            game.budget,
-            game.zero_count_rule,
-            validate=False,
-        )
-        for context, row in zip(contexts, pal_rows, strict=True):
-            context.seed_pal(ordering, row)
-    return contexts

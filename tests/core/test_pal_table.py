@@ -1,9 +1,10 @@
-"""Subset-memoized detection kernel: equivalence with the legacy walk."""
+"""Subset-memoized detection tables: equivalence with the reference walk."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    LazyPalTable,
     Ordering,
     OrderingPricer,
     PalTable,
@@ -41,15 +42,24 @@ def random_world(rng, n_types, n_scenarios=400, exact=False):
 
 
 class TestSubsetTableEquivalence:
-    @pytest.mark.parametrize("n_types", [3, 4, 5])
+    @pytest.mark.parametrize("n_types", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("rule", ["unit", "strict"])
     def test_matches_legacy_over_all_orderings(self, rng, n_types, rule):
         b, sc, costs, budget = random_world(rng, n_types)
         pricer = OrderingPricer(b, sc, costs, budget, rule)
-        table = PalTable.from_pricer(pricer)
+        tables = (
+            PalTable.from_pricer(pricer),
+            LazyPalTable.from_pricer(pricer),
+        )
         for o in all_orderings(n_types):
             legacy = pricer.pal(o)
-            assert np.abs(table.pal(o) - legacy).max() <= TOL
+            for table in tables:
+                if n_types <= 2:
+                    # At most one predecessor term: the consumed budget
+                    # is exact, so both tables reproduce the walk bitwise.
+                    assert np.array_equal(table.pal(o), legacy)
+                else:
+                    assert np.abs(table.pal(o) - legacy).max() <= TOL
 
     def test_matches_on_exact_scenario_set(self, rng):
         b, sc, costs, budget = random_world(rng, 4, exact=True)
@@ -90,6 +100,14 @@ class TestSubsetTableEquivalence:
         for o in all_orderings(4):
             assert np.abs(chunked.pal(o) - whole.pal(o)).max() <= TOL
 
+    def test_equal_chunking_builds_bitwise(self, rng):
+        # Chunking reorders the accumulation (tolerance-tested above);
+        # at equal chunking the build is deterministic to the bit.
+        b, sc, costs, budget = random_world(rng, 4, n_scenarios=257)
+        first = PalTable(b, sc, costs, budget, scenario_chunk=19)
+        second = PalTable(b, sc, costs, budget, scenario_chunk=19)
+        assert np.array_equal(first.table, second.table)
+
     def test_bitwise_on_integer_game(self, rng):
         # Integer thresholds/costs/counts keep every partial sum exact,
         # so the DP accumulation order cannot perturb a single bit.
@@ -103,6 +121,23 @@ class TestSubsetTableEquivalence:
         table = PalTable.from_pricer(pricer)
         for o in all_orderings(4):
             assert np.array_equal(table.pal(o), pricer.pal(o))
+
+
+class TestLazyTable:
+    def test_matches_eager_bitwise_over_all_orderings(self, rng):
+        # Sampled, non-integer world: the partial sums round, so this
+        # pins that both tables accumulate in the same DP order.
+        b, sc, costs, budget = random_world(rng, 4)
+        eager = PalTable(b, sc, costs, budget)
+        lazy = LazyPalTable(b, sc, costs, budget)
+        for o in all_orderings(4):
+            assert np.array_equal(lazy.pal(o), eager.pal(o))
+        for mask in (0, 1, 5):
+            free = [t for t in range(4) if not (mask >> t) & 1]
+            assert np.array_equal(
+                lazy.extension_values(mask, free),
+                eager.extension_values(mask, free),
+            )
 
 
 class TestPalForOrderingsDispatch:

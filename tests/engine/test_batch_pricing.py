@@ -1,8 +1,8 @@
 """Batched threshold pricing: dedupe, fan-out, and serial identity.
 
 The contract under test is the PR's headline guarantee: for
-enumeration-backed pricing, ``workers > 1`` (process-pool fan-out with
-vectorized kernel construction) returns bit-for-bit the same solutions,
+enumeration-backed pricing, ``workers > 1`` (process-pool fan-out)
+returns bit-for-bit the same solutions,
 policies and probe counts as the serial ``workers = 1`` path at equal
 seed.
 """
@@ -10,7 +10,6 @@ seed.
 import numpy as np
 import pytest
 
-from repro.core.detection import pal_for_ordering, pal_for_ordering_batch
 from repro.engine import AuditEngine, FixedSolveCache
 from repro.solvers.enumeration import EnumerationSolver
 from repro.solvers.ishm import run_iterative_shrink
@@ -34,48 +33,6 @@ def batch(tiny_game):
 
 
 class TestBatchedKernel:
-    def test_matches_serial_kernel_bitwise(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        # Reduction-order contract: both kernels close the expectation
-        # with (ratio * weights).sum(axis=-1) — numpy's pairwise
-        # reduction, whose result depends only on the row length — so
-        # the batched rows equal the serial rows *bitwise*, not merely
-        # approximately.  A BLAS dot would break this across shapes.
-        for ordering in [(0, 1), (1, 0), (1,)]:
-            rows = pal_for_ordering_batch(
-                ordering,
-                batch,
-                tiny_scenarios,
-                tiny_game.costs,
-                tiny_game.budget,
-            )
-            reference = np.stack(
-                [
-                    pal_for_ordering(
-                        ordering,
-                        b,
-                        tiny_scenarios,
-                        tiny_game.costs,
-                        tiny_game.budget,
-                    )
-                    for b in batch
-                ]
-            )
-            assert np.array_equal(rows, reference)
-
-    def test_rejects_one_dimensional_input(
-        self, tiny_game, tiny_scenarios
-    ):
-        with pytest.raises(ValueError, match=r"\(B, T\)"):
-            pal_for_ordering_batch(
-                (0, 1),
-                np.array([1.0, 2.0]),
-                tiny_scenarios,
-                tiny_game.costs,
-                tiny_game.budget,
-            )
-
     def test_solve_batch_equals_mapped_solve(
         self, tiny_game, tiny_scenarios, batch
     ):

@@ -10,6 +10,7 @@ from repro.engine import (
     SolverConfig,
     get_solver,
 )
+from repro.engine.config import coerce_value
 from repro.engine.registry import make_config
 
 
@@ -116,19 +117,14 @@ class TestLpBackendAlias:
 
 
 class TestUnionCoercion:
-    def test_cggs_subset_table_words(self):
-        assert CGGSConfig.from_dict(
-            {"subset_table": "lazy"}
-        ).subset_table == "lazy"
-        assert CGGSConfig.from_dict(
-            {"subset_table": "true"}
-        ).subset_table is True
-        assert CGGSConfig.from_dict(
-            {"subset_table": "false"}
-        ).subset_table is False
-        assert CGGSConfig.from_dict(
-            {"subset_table": "none"}
-        ).subset_table is None
+    def test_bool_str_union_words(self):
+        # Union members are tried in declaration order: "true" parses
+        # as the bool, "lazy" falls through to the string.
+        annotation = bool | str | None
+        assert coerce_value("lazy", annotation) == "lazy"
+        assert coerce_value("true", annotation) is True
+        assert coerce_value("false", annotation) is False
+        assert coerce_value("none", annotation) is None
 
     def test_cggs_warm_start_coercion(self):
         assert CGGSConfig.from_dict(

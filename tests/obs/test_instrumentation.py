@@ -122,3 +122,25 @@ def test_sim_period_span_series_stay_bounded(tiny_game, registry):
     # Exactly one series per refit value, together holding all 12 periods.
     assert sorted(dict(key)["refit"] for key in series) == ["False", "True"]
     assert sum(hist.count for hist in series.values()) == 12
+
+
+def test_price_chunk_span_series_stay_bounded(
+    tiny_game, tiny_scenarios, registry, monkeypatch
+):
+    """The chunk size is not a span label: one ``price_chunk`` series."""
+    from repro.engine import parallel
+
+    monkeypatch.setattr(parallel, "_WORKER_STATE", {})
+    parallel._init_worker(tiny_game, tiny_scenarios)
+    path = ("engine.solve", "engine.price_batch")
+    for n_vectors in (1, 2, 3):
+        vectors = np.full((n_vectors, tiny_game.n_types), 2.0)
+        solutions = parallel._price_chunk("scipy", (), vectors, path)
+        assert len(solutions) == n_vectors
+    spans = registry.snapshot()["histograms"].get(SPAN_HISTOGRAM, {})
+    series = [
+        key for key in spans
+        if dict(key)["span"].endswith("price_chunk")
+    ]
+    assert len(series) == 1
+    assert spans[series[0]].count == 3

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import AuditPolicy, Ordering, all_orderings
-from repro.solvers import CGGSSolver, EnumerationSolver
+from repro.core import AuditPolicy, Ordering, OrderingPricer, all_orderings
+from repro.solvers import (
+    CGGSSolver,
+    EnumerationSolver,
+    MasterProblem,
+    PolicyContext,
+)
 
 
 class TestEnumerationSolver:
@@ -44,7 +49,7 @@ class TestEnumerationSolver:
 
 
 class TestSubsetKernelEquivalence:
-    """Acceptance: subset-table pricing == legacy pricing (<= 1e-9)."""
+    """Acceptance: subset-table pricing == reference-walk pricing."""
 
     GRID = [
         np.array([3.0, 3.0, 3.0, 3.0]),
@@ -56,29 +61,31 @@ class TestSubsetKernelEquivalence:
     def test_subset_table_matches_legacy_solver(
         self, syn_a_game, syn_a_scenarios
     ):
-        fast = EnumerationSolver(
-            syn_a_game, syn_a_scenarios, subset_table=True
-        )
-        legacy = EnumerationSolver(
-            syn_a_game, syn_a_scenarios, subset_table=False
-        )
-        assert fast.subset_table and not legacy.subset_table
+        solver = EnumerationSolver(syn_a_game, syn_a_scenarios)
         for b in self.GRID:
-            a = fast.solve(b)
-            ref = legacy.solve(b)
+            a = solver.solve(b)
+            # The same master LP with every column priced by the
+            # reference walk instead of the solver's PalTable.
+            pricer = OrderingPricer(
+                b,
+                syn_a_scenarios,
+                syn_a_game.costs,
+                syn_a_game.budget,
+                syn_a_game.zero_count_rule,
+            )
+            context = PolicyContext(syn_a_game, syn_a_scenarios, b)
+            master = MasterProblem(context)
+            for o in all_orderings(syn_a_game.n_types):
+                context.seed_pal(o, pricer.pal(o))
+                master.add_ordering(o)
+            ref, _ = master.solve()
             assert abs(a.objective - ref.objective) <= 1e-9
             assert np.abs(
                 a.policy.thresholds - ref.policy.thresholds
             ).max() <= 1e-9
             assert {tuple(o) for o in a.policy.orderings} == {
-                tuple(o) for o in ref.policy.orderings
+                tuple(o) for o in ref.policy.pruned().orderings
             }
-
-    def test_auto_enables_subset_table_on_syn_a(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        solver = EnumerationSolver(syn_a_game, syn_a_scenarios)
-        assert solver.subset_table  # 24 orderings > 2^3
 
     def test_compression_is_noop_on_exact_sets(
         self, syn_a_game, syn_a_scenarios

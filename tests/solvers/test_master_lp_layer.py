@@ -9,13 +9,19 @@ Covers the structure-exploiting LP layer:
   with cold re-solves to LP-roundoff, bitwise on re-entry into the same
   LP;
 * the shared :class:`MasterSkeleton` changes nothing numerically;
-* the CGGS table oracle matches the legacy oracle.
+* the closed-form CGGS oracle matches the generic per-candidate oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import LazyPalTable, Ordering, PalTable, all_orderings
+from repro.core import (
+    LazyPalTable,
+    Ordering,
+    PalTable,
+    all_orderings,
+    random_ordering,
+)
 from repro.solvers import (
     CGGSSolver,
     EnumerationSolver,
@@ -341,53 +347,86 @@ class TestCGGSTableOracle:
             entry_pal, by_row.pal(ordering)
         )
 
-    def test_table_oracle_matches_legacy_oracle_choice(
-        self, syn_a_game, syn_a_scenarios
+    def test_closed_form_matches_generic_oracle(
+        self, syn_a_game, syn_a_scenarios, monkeypatch
     ):
-        """Same greedy orderings from both oracles on an exact game."""
+        """Same greedy orderings and objectives from both CGGS oracles."""
+
+        def force_generic(m):
+            m.setattr(
+                CGGSSolver, "_linear_scores_exact", lambda self: False
+            )
+
+        rows = PolicyContext.representative_rows_for(syn_a_game)
         for seed in range(3):
-            legacy = CGGSSolver(
+            solver = CGGSSolver(
                 syn_a_game,
                 syn_a_scenarios,
                 rng=np.random.default_rng(seed),
-                subset_table=False,
             )
-            fast = CGGSSolver(
-                syn_a_game,
-                syn_a_scenarios,
-                rng=np.random.default_rng(seed),
-                subset_table=None,
-            )
+            assert solver._linear_scores_exact()  # closed form default
             for b in THRESHOLD_GRID[:2]:
-                a = legacy.solve(b)
-                c = fast.solve(b)
-                assert c.objective == pytest.approx(
-                    a.objective, abs=1e-9
+                # Both oracles score the same duals on one lazy context.
+                context = PolicyContext(
+                    syn_a_game,
+                    syn_a_scenarios,
+                    b,
+                    lazy=True,
+                    representative_rows=rows,
+                )
+                master = MasterProblem(context)
+                master.add_ordering(
+                    random_ordering(4, np.random.default_rng(seed))
+                )
+                while True:
+                    _, lp_solution = master.solve()
+                    duals, _ = master.dual_prices(lp_solution)
+                    closed = solver._greedy_ordering_table(
+                        context, duals
+                    )
+                    with monkeypatch.context() as m:
+                        force_generic(m)
+                        generic = solver._greedy_ordering(context, duals)
+                    assert tuple(closed) == tuple(generic)
+                    if not master.add_ordering(closed):
+                        break
+
+                fast = CGGSSolver(
+                    syn_a_game,
+                    syn_a_scenarios,
+                    rng=np.random.default_rng(seed),
+                ).solve(b)
+                with monkeypatch.context() as m:
+                    force_generic(m)
+                    slow = CGGSSolver(
+                        syn_a_game,
+                        syn_a_scenarios,
+                        rng=np.random.default_rng(seed),
+                    ).solve(b)
+                assert fast.objective == pytest.approx(
+                    slow.objective, abs=1e-9
                 )
 
-    def test_auto_rule(self, syn_a_game, syn_a_scenarios, tiny_game,
-                       tiny_scenarios):
-        assert CGGSSolver(
-            syn_a_game, syn_a_scenarios
-        ).subset_table == "lazy"
-        # 2-type games stay on the legacy walk.
-        assert CGGSSolver(
-            tiny_game, tiny_scenarios
-        ).subset_table is False
-
-    def test_unknown_subset_table_string_rejected(
-        self, syn_a_game, syn_a_scenarios
+    def test_every_game_prices_through_lazy_table(
+        self, syn_a_game, syn_a_scenarios, tiny_game, tiny_scenarios,
+        monkeypatch,
     ):
-        # A typo must fail at construction, not silently truth-test
-        # into the eager table.
-        with pytest.raises(ValueError, match="lazy"):
-            CGGSSolver(
-                syn_a_game, syn_a_scenarios, subset_table="lzay"
+        # 2-type games included: CGGS never builds the eager table.
+        built = []
+        for cls in (PalTable, LazyPalTable):
+            original = cls.from_pricer.__func__
+
+            def record(klass, pricer, *args, _orig=original, **kwargs):
+                built.append(klass)
+                return _orig(klass, pricer, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "from_pricer", classmethod(record))
+        for game, scenarios in (
+            (syn_a_game, syn_a_scenarios),
+            (tiny_game, tiny_scenarios),
+        ):
+            built.clear()
+            CGGSSolver(game, scenarios).solve(
+                game.threshold_upper_bounds().astype(float)
             )
-        with pytest.raises(ValueError, match="lazy"):
-            PolicyContext(
-                syn_a_game,
-                syn_a_scenarios,
-                THRESHOLD_GRID[0],
-                subset_table="full",
-            )
+            assert built and set(built) == {LazyPalTable}
