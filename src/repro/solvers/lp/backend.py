@@ -2,7 +2,8 @@
 
 Two interchangeable engines solve every LP in the library:
 
-* ``"scipy"`` — HiGHS via :func:`scipy.optimize.linprog` (default, fast);
+* ``"scipy"`` — HiGHS through the binding bundled with scipy (default,
+  fast; see :mod:`repro.solvers.lp.scipy_backend`);
 * ``"simplex"`` — the from-scratch revised simplex in
   :mod:`repro.solvers.lp.simplex` (no dependency beyond numpy, used for
   cross-validation, by the LP-backend ablation benchmark, and whenever a
@@ -20,6 +21,9 @@ The scipy path degrades gracefully: when HiGHS raises or reports
 simplex backend (counted on ``repro_lp_backend_fallbacks_total``), so
 one flaky native solve cannot take a sweep down.  INFEASIBLE and
 UNBOUNDED are legitimate answers and are returned as-is.
+
+Every dispatch runs inside one ``lp.solve`` span labelled with the
+backend name (two values), fallback re-solves included.
 """
 
 from __future__ import annotations
@@ -88,17 +92,12 @@ def solve_lp(
             f"unknown LP backend {backend!r}; "
             f"choose from {available_backends()}"
         ) from None
-    if backend == "simplex":
-        if warm_basis is not None:
-            return engine(
-                problem,
-                warm_basis=warm_basis,
-                factorization=factorization,
-            )
-        return engine(problem, factorization=factorization)
-    if backend == "scipy":
-        return _solve_scipy_with_fallback(problem)
-    return engine(problem)
+    with obs.span("lp.solve", backend=backend):
+        if backend == "scipy":
+            return _solve_scipy_with_fallback(problem)
+        return engine(
+            problem, warm_basis=warm_basis, factorization=factorization
+        )
 
 
 def _solve_scipy_with_fallback(problem: LinearProgram) -> LPSolution:

@@ -123,9 +123,9 @@ class LPSolution:
     """Primal/dual result of an LP solve.
 
     ``basis`` is the optimal basis in semantic :data:`BasisTag` form when
-    the backend exposes one (the from-scratch simplex does; HiGHS via
-    ``scipy.optimize.linprog`` does not), enabling warm-started re-solves
-    of structurally related problems.
+    the backend exposes one (the from-scratch simplex does; the HiGHS
+    adapter in :mod:`repro.solvers.lp.scipy_backend` does not), enabling
+    warm-started re-solves of structurally related problems.
     """
 
     status: str

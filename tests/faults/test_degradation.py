@@ -16,8 +16,10 @@ import pytest
 from repro import faults
 from repro.engine import AuditEngine, FixedSolveCache
 from repro.faults import FaultInjected, FaultPlan, FaultRule
+from repro.obs import metrics as obs_metrics
 from repro.sim import simulate
-from repro.solvers.lp import LinearProgram, LPStatus, solve_lp
+from repro.solvers.lp import LinearProgram, LPSolution, LPStatus, solve_lp
+from repro.solvers.lp import backend as lp_backend
 from repro.solvers.lp.simplex import solve_with_simplex
 from tests.conftest import make_tiny_game
 
@@ -108,6 +110,32 @@ class TestLpBackendDegradation:
         assert degraded.status == LPStatus.OPTIMAL
         assert degraded.objective_value == reference.objective_value
         assert np.array_equal(degraded.x, reference.x)
+
+    def test_scipy_numerical_error_falls_back_to_simplex(self, monkeypatch):
+        registry = obs_metrics.MetricsRegistry()
+        monkeypatch.setattr(obs_metrics, "_registry", registry)
+        monkeypatch.setattr(obs_metrics, "_enabled", True)
+        monkeypatch.setattr(
+            lp_backend,
+            "solve_with_scipy",
+            lambda problem: LPSolution(status=LPStatus.NUMERICAL_ERROR),
+        )
+        labels = {
+            "from_backend": "scipy",
+            "to_backend": "simplex",
+            "error": "numerical",
+        }
+        before = registry.get_counter(
+            "repro_lp_backend_fallbacks_total", **labels
+        )
+        degraded = solve_lp(self.LP, backend="scipy")
+        reference = solve_with_simplex(self.LP)
+        assert degraded.status == LPStatus.OPTIMAL
+        assert degraded.objective_value == reference.objective_value
+        assert np.array_equal(degraded.x, reference.x)
+        assert registry.get_counter(
+            "repro_lp_backend_fallbacks_total", **labels
+        ) == before + 1
 
     def test_healthy_scipy_still_used(self):
         solution = solve_lp(self.LP, backend="scipy")

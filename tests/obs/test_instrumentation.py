@@ -144,3 +144,23 @@ def test_price_chunk_span_series_stay_bounded(
     ]
     assert len(series) == 1
     assert spans[series[0]].count == 3
+
+
+def test_lp_solve_span_one_series_per_backend(registry):
+    """One ``lp.solve`` series under ``engine.solve``, one count per LP."""
+    from repro.datasets import syn_a
+
+    with AuditEngine(syn_a(budget=2)) as engine:
+        result = engine.solve("ishm", step_size=0.5)
+    spans = registry.snapshot()["histograms"].get(SPAN_HISTOGRAM, {})
+    series = {
+        key: hist for key, hist in spans.items()
+        if dict(key)["span"].endswith("lp.solve")
+    }
+    assert len(series) == 1
+    [(key, hist)] = series.items()
+    assert dict(key) == {"span": "engine.solve.lp.solve", "backend": "scipy"}
+    assert hist.count == result.diagnostics["lp_calls"] > 0
+    assert hist.count == registry.counter_total(
+        "repro_master_lp_calls_total"
+    )

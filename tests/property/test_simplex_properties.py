@@ -1,14 +1,84 @@
-"""Property-based cross-validation of the simplex against HiGHS."""
+"""Property-based cross-validation of the LP backends.
+
+The simplex is checked against HiGHS.  The HiGHS adapter, which calls
+scipy's HiGHS binding directly, is checked bit for bit against the
+``scipy.optimize.linprog`` adapter it replaced, kept here as the
+reference oracle: on random LPs, hand cases, and every master LP of
+two real ISHM solves.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.datasets import rea_a, syn_a
+from repro.engine import AuditEngine
 from repro.solvers.lp import (
     LinearProgram,
+    LPSolution,
+    LPStatus,
     solve_with_scipy,
     solve_with_simplex,
 )
+from repro.solvers.lp import backend as lp_backend
+
+_LINPROG_STATUS = {
+    0: LPStatus.OPTIMAL,
+    1: LPStatus.ITERATION_LIMIT,
+    2: LPStatus.INFEASIBLE,
+    3: LPStatus.UNBOUNDED,
+    4: LPStatus.NUMERICAL_ERROR,
+}
+
+
+def linprog_reference(problem: LinearProgram) -> LPSolution:
+    """The HiGHS backend as it was written on ``scipy.optimize.linprog``.
+
+    The reference oracle for :func:`solve_with_scipy`, which calls the
+    same HiGHS binding directly: both must agree bit for bit.
+    """
+    result = linprog(
+        c=problem.objective,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        bounds=list(problem.bounds),
+        method="highs",
+    )
+    status = _LINPROG_STATUS.get(result.status, LPStatus.NUMERICAL_ERROR)
+    if status != LPStatus.OPTIMAL:
+        return LPSolution(status=status, message=str(result.message))
+    return LPSolution(
+        status=LPStatus.OPTIMAL,
+        x=np.asarray(result.x, dtype=np.float64),
+        objective_value=float(result.fun),
+        dual_ub=(
+            np.asarray(result.ineqlin.marginals, dtype=np.float64)
+            if problem.n_ub_rows
+            else None
+        ),
+        dual_eq=(
+            np.asarray(result.eqlin.marginals, dtype=np.float64)
+            if problem.n_eq_rows
+            else None
+        ),
+        iterations=int(getattr(result, "nit", 0)),
+        message=str(result.message),
+    )
+
+
+def assert_bitwise_equal(got: LPSolution, want: LPSolution) -> None:
+    assert got.status == want.status
+    for field in ("x", "dual_ub", "dual_eq"):
+        ours, theirs = getattr(got, field), getattr(want, field)
+        assert (ours is None) == (theirs is None), field
+        if ours is not None:
+            assert np.array_equal(ours, theirs), field
+    assert got.objective_value == want.objective_value
+    assert got.iterations == want.iterations
 
 
 @st.composite
@@ -72,3 +142,122 @@ def test_weak_duality_bound(lp):
     if not sol.is_optimal:
         return
     assert np.all(sol.dual_ub <= 1e-9)
+
+
+@given(feasible_lp())
+@settings(max_examples=60, deadline=None)
+def test_highs_adapter_matches_linprog_bitwise(lp):
+    assert_bitwise_equal(solve_with_scipy(lp), linprog_reference(lp))
+
+
+#: Hand cases for the linprog parity check, by what they exercise.
+PARITY_CASES = {
+    "equality_only": LinearProgram(
+        objective=np.array([2.0, 1.0, 4.0]),
+        a_eq=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+        b_eq=np.array([5.0, 1.0]),
+    ),
+    "free_and_upper_bounded": LinearProgram(
+        objective=np.array([1.0, -1.0, 0.5]),
+        a_ub=np.array([[-1.0, 0.0, 0.0], [1.0, 1.0, -1.0]]),
+        b_ub=np.array([5.0, 4.0]),
+        bounds=((None, None), (0.0, 3.0), (None, 2.0)),
+    ),
+    "mixed_blocks": LinearProgram(
+        objective=np.array([3.0, 5.0, -1.0]),
+        a_ub=np.array([[-1.0, -2.0, 0.0], [-3.0, -1.0, 1.0]]),
+        b_ub=np.array([-6.0, -9.0]),
+        a_eq=np.array([[0.0, 1.0, 1.0]]),
+        b_eq=np.array([4.0]),
+        bounds=((0.0, None), (-1.0, 10.0), (0.0, 2.0)),
+    ),
+    "no_constraint_rows": LinearProgram(
+        objective=np.array([2.0, -3.0]),
+        bounds=((0.0, None), (None, 5.0)),
+    ),
+    "all_zero_row": LinearProgram(
+        objective=np.array([1.0, 1.0]),
+        a_ub=np.array([[0.0, 0.0], [-1.0, -1.0]]),
+        b_ub=np.array([1.0, -1.0]),
+    ),
+    "infeasible_ub": LinearProgram(
+        objective=np.array([1.0]),
+        a_ub=np.array([[-1.0], [1.0]]),
+        b_ub=np.array([-2.0, 1.0]),
+    ),
+    "infeasible_eq": LinearProgram(
+        objective=np.array([1.0]),
+        a_eq=np.array([[1.0]]),
+        b_eq=np.array([-2.0]),
+    ),
+    "unbounded": LinearProgram(
+        objective=np.array([-1.0]),
+        a_ub=np.array([[-1.0]]),
+        b_ub=np.array([0.0]),
+    ),
+}
+
+
+def _captured_master_lps(game, **options) -> list[LinearProgram]:
+    """Every LP one ISHM solve hands the scipy backend."""
+    captured: list[LinearProgram] = []
+    real = lp_backend.solve_with_scipy
+
+    def capture(problem):
+        captured.append(problem)
+        return real(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_backend, "solve_with_scipy", capture)
+        AuditEngine(game).solve("ishm", **options)
+    return captured
+
+
+@pytest.fixture(scope="module")
+def master_lps():
+    syn = _captured_master_lps(syn_a(budget=4), step_size=0.5)
+    # T=7: ISHM prices every probe by CGGS column generation.
+    emr = _captured_master_lps(rea_a(budget=50), max_probes=12)
+    assert syn and emr
+    return syn + emr
+
+
+class TestLinprogParity:
+    """The direct HiGHS call returns exactly what ``linprog`` returns."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_hand_cases(self, case):
+        lp = PARITY_CASES[case]
+        assert_bitwise_equal(solve_with_scipy(lp), linprog_reference(lp))
+
+    def test_hand_case_statuses(self):
+        statuses = {
+            case: solve_with_scipy(lp).status
+            for case, lp in PARITY_CASES.items()
+        }
+        assert statuses["infeasible_ub"] == LPStatus.INFEASIBLE
+        assert statuses["infeasible_eq"] == LPStatus.INFEASIBLE
+        assert statuses["unbounded"] == LPStatus.UNBOUNDED
+        solved = {c for c, s in statuses.items() if s == LPStatus.OPTIMAL}
+        assert solved == set(PARITY_CASES) - {
+            "infeasible_ub", "infeasible_eq", "unbounded"
+        }
+
+    def test_every_master_lp(self, master_lps):
+        for lp in master_lps:
+            assert_bitwise_equal(solve_with_scipy(lp), linprog_reference(lp))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["objective", "a_ub", "b_ub"])
+    def test_non_finite_data_rejected_like_linprog(self, where, value):
+        data = {
+            "objective": np.array([1.0, 1.0]),
+            "a_ub": np.array([[-1.0, -1.0]]),
+            "b_ub": np.array([-1.0]),
+        }
+        data[where] = np.full_like(data[where], value)
+        lp = LinearProgram(**data)
+        with pytest.raises(ValueError):
+            linprog_reference(lp)
+        with pytest.raises(ValueError):
+            solve_with_scipy(lp)

@@ -11,6 +11,7 @@ from repro.solvers.lp import (
     solve_with_scipy,
     solve_with_simplex,
 )
+from repro.solvers.lp.scipy_backend import FEASIBILITY_TOL, optimum_status
 
 
 def both_backends(problem):
@@ -189,3 +190,63 @@ class TestBackendDispatch:
         a = solve_lp(lp, backend="scipy")
         b = solve_lp(lp, backend="simplex")
         assert np.isclose(a.objective_value, b.objective_value)
+
+
+class TestFeasibilityGate:
+    """scipy's post-solve check, applied to a reported optimum."""
+
+    LOWER = np.array([0.0, -np.inf])
+    UPPER = np.array([1.0, np.inf])
+
+    def status(self, x=(0.5, 0.0), objective=0.0, slack=(0.0,),
+               residual=(0.0,)):
+        return optimum_status(
+            np.array(x, dtype=float),
+            objective,
+            np.array(slack, dtype=float),
+            np.array(residual, dtype=float),
+            self.LOWER,
+            self.UPPER,
+        )
+
+    def test_clean_point_passes(self):
+        assert self.status() == LPStatus.OPTIMAL
+
+    def test_ub_row_violation(self):
+        assert (
+            self.status(slack=(-2 * FEASIBILITY_TOL,))
+            == LPStatus.NUMERICAL_ERROR
+        )
+
+    def test_equality_residual(self):
+        assert (
+            self.status(residual=(2 * FEASIBILITY_TOL,))
+            == LPStatus.NUMERICAL_ERROR
+        )
+
+    @pytest.mark.parametrize("x0", [-2 * FEASIBILITY_TOL,
+                                    1.0 + 2 * FEASIBILITY_TOL])
+    def test_bound_violation(self, x0):
+        assert self.status(x=(x0, 0.0)) == LPStatus.NUMERICAL_ERROR
+
+    @pytest.mark.parametrize(
+        "field", ["x", "objective", "slack", "residual"]
+    )
+    def test_nan(self, field):
+        value = {
+            "x": (np.nan, 0.0),
+            "objective": np.nan,
+            "slack": (np.nan,),
+            "residual": (np.nan,),
+        }[field]
+        assert self.status(**{field: value}) == LPStatus.NUMERICAL_ERROR
+
+    def test_violations_just_below_tolerance_pass(self):
+        below = 0.99 * FEASIBILITY_TOL
+        assert self.status(
+            x=(1.0 + below, 0.0), slack=(-below,), residual=(below,)
+        ) == LPStatus.OPTIMAL
+        assert self.status(x=(-below, 0.0)) == LPStatus.OPTIMAL
+
+    def test_tolerance_is_linprogs(self):
+        assert FEASIBILITY_TOL == 10 * np.sqrt(1e-9)
