@@ -30,6 +30,10 @@ __all__ = [
 #: Victim index used to denote "refrain from attacking".
 REFRAIN = -1
 
+#: An attack this close below 0 still counts as a best response over
+#: refraining, so a reported ``u_e`` can sit up to this far below 0.
+REFRAIN_TIE_TOL = 1e-12
+
 
 def utility_matrix_for_pal(
     pal: np.ndarray,
@@ -85,7 +89,7 @@ class BestResponse:
 def best_responses(
     expected_utilities: np.ndarray,
     payoffs: PayoffModel,
-    tie_tol: float = 1e-12,
+    tie_tol: float = REFRAIN_TIE_TOL,
 ) -> list[BestResponse]:
     """Per-adversary argmax over victims (and the refrain option)."""
     eu = np.asarray(expected_utilities, dtype=np.float64)

@@ -39,6 +39,11 @@ Every solver prices through these tables: enumeration through the eager
 reference walk stays for tests, the simulator and small-support policy
 evaluation; :func:`subset_table_pays` encodes the break-even point that
 :func:`~repro.core.detection.pal_for_orderings` dispatches on.
+
+The same lattice also maximizes a weighted ``Pal`` row over all ``T!``
+orderings in ``O(T * 2^T)`` (:meth:`PalTable.max_weighted_pal`): the
+all-orderings dual bound with which the enumeration solver screens ISHM
+probes.
 """
 
 from __future__ import annotations
@@ -257,6 +262,36 @@ class PalTable:
         """``Pal`` entries for appending each ``t`` after predecessor
         set ``mask`` — the column-generation oracle's lookup."""
         return self._table[np.asarray(types, dtype=np.int64), mask]
+
+    def max_weighted_pal(self, weights: np.ndarray) -> float:
+        """``max_o sum_t w_t * Pal(o, b, t)`` over all ``T!`` orderings.
+
+        ``Pal(o, b, t) = table[t, pred_o(t)]``, so an ordering's score is
+        a sum of one entry per (type, predecessor set) step, and the best
+        ordering is a longest path through the subset lattice:
+        ``best[S | t] = max(best[S] + w_t * table[t, S])`` over masks in
+        increasing order, ``O(T * 2^T)`` instead of ``T! * T``.  Weights
+        may take either sign.  Each path's score is accumulated in its
+        own placement order, one rounded term per type.
+        """
+        n_types = self._pricer.n_types
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (n_types,):
+            raise ValueError(
+                f"weights must have shape ({n_types},), got {w.shape}"
+            )
+        scored = (self._table * w[:, None]).tolist()
+        n_masks = 1 << n_types
+        best = [-np.inf] * n_masks
+        best[0] = 0.0
+        for mask in range(n_masks - 1):
+            value = best[mask]
+            for t in range(n_types):
+                if not mask >> t & 1:
+                    candidate = value + scored[t][mask]
+                    if candidate > best[mask | 1 << t]:
+                        best[mask | 1 << t] = candidate
+        return float(best[n_masks - 1])
 
 
 class LazyPalTable:

@@ -23,7 +23,7 @@ from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
 from ..solvers.bruteforce import run_solve_optimal
 from ..solvers.enumeration import DEFAULT_MAX_ORDERINGS
-from ..solvers.ishm import FixedSolver, run_iterative_shrink
+from ..solvers.ishm import FixedSolver, ProbeScreen, run_iterative_shrink
 from .cache import FixedSolveCache
 from .config import (
     BruteForceConfig,
@@ -76,13 +76,18 @@ def _solve_ishm(
             # One-shot dispatch (no engine): the throwaway cache must
             # not leak its worker pool past this call.
             cache = owned_cache = FixedSolveCache(game, scenarios)
+        # One holder reaches the pricer through its factory and the run
+        # through its arguments: ISHM keeps it on the incumbent, the
+        # pricer screens each round's probes against it.
+        screen = ProbeScreen()
         batch_solver = cache.batch_solver(
             method=config.inner,
             backend=config.backend,
             seed=config.seed,
             workers=config.workers,
+            screen=screen,
         )
-        solver_args = {"batch_solver": batch_solver}
+        solver_args = {"batch_solver": batch_solver, "screen": screen}
     else:
         solver_args = {"solver": fixed_solver}
     try:
@@ -110,6 +115,7 @@ def _solve_ishm(
         started=started,
         diagnostics={
             "lp_calls": raw.lp_calls,
+            "screened": raw.screened,
             "improvements": len(raw.history) - 1,
         },
         raw=raw,

@@ -32,6 +32,16 @@ shares that solver's LP skeleton and representative-row set — the
 structurally identical master LPs of a sweep are assembled from one set
 of static blocks instead of being rebuilt per vector (see
 :class:`repro.solvers.master.MasterSkeleton`).
+
+A memo entry is either a solution or a bound.  A batch pricer built
+with a :class:`~repro.solvers.ishm.ProbeScreen` screens each miss
+against the holder's incumbent (read once per batch, and shipped with
+every pool task) and may store a
+:class:`~repro.solvers.enumeration.Screened` lower bound instead of a
+solution.  A stored bound answers a later lookup only for a screening
+caller whose current cutoff it still reaches; any other caller —
+including every single-vector :meth:`FixedSolveCache.solver` closure —
+prices the vector afresh and the new result replaces the bound.
 """
 
 from __future__ import annotations
@@ -46,16 +56,28 @@ import numpy as np
 from .. import obs
 from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
+from ..solvers.enumeration import Incumbent, Screened
 from ..solvers.ishm import (
     ENUMERATION_TYPE_LIMIT,
     BatchFixedSolver,
     FixedSolver,
+    ProbeScreen,
     make_fixed_solver,
 )
 from ..solvers.master import FixedThresholdSolution
 from . import parallel
 
 __all__ = ["CacheInfo", "FixedSolveCache"]
+
+
+def _serves(
+    entry: FixedThresholdSolution | Screened | None,
+    incumbent: Incumbent | None,
+) -> bool:
+    """Whether a memo entry answers a lookup made against ``incumbent``."""
+    if isinstance(entry, Screened):
+        return incumbent is not None and entry.lower_bound >= incumbent.cutoff
+    return entry is not None
 
 
 @dataclass(frozen=True)
@@ -98,7 +120,7 @@ class FixedSolveCache:
         self.game = game
         self.scenarios = scenarios
         self._solvers: dict[tuple, FixedSolver] = {}
-        self._solutions: dict[tuple, FixedThresholdSolution] = {}
+        self._solutions: dict[tuple, FixedThresholdSolution | Screened] = {}
         self._executor = None
         self._executor_workers = 0
         # Rank 30 ("cache") in repro/devtools/lock_hierarchy.py: may be
@@ -173,7 +195,7 @@ class FixedSolveCache:
             # pricing, so concurrent walks through it are not safe.
             with self._lock:
                 hit = solutions.get(key)
-                if hit is not None:
+                if _serves(hit, None):
                     self.hits += 1
                     return hit
                 self.misses += 1
@@ -194,6 +216,7 @@ class FixedSolveCache:
         seed: int = 0,
         workers: int = 1,
         chunk_size: int | None = None,
+        screen: ProbeScreen | None = None,
         **kwargs: object,
     ) -> BatchFixedSolver:
         """A memoizing *batched* fixed-threshold pricer.
@@ -205,16 +228,23 @@ class FixedSolveCache:
         by a previous batch, or by the single-vector :meth:`solver`
         closures — are served from the memo.
 
+        With a ``screen`` holder and the enumeration method, each batch
+        screens its misses against the holder's current incumbent, and
+        rows may come back :class:`~repro.solvers.enumeration.Screened`
+        (see the module docstring for what the memo keeps).  Other
+        methods ignore the holder.
+
         With ``workers > 1`` and the deterministic enumeration method,
         the remaining misses fan out over a process pool in chunks
         (``chunk_size`` vectors per task; default
         :func:`repro.engine.parallel.default_chunk_size`), and the
         results are gathered back in submission order — bit-for-bit
-        identical to ``workers=1``.  CGGS is stateful, so it always
-        prices serially in input order regardless of ``workers``.
+        identical to ``workers=1``, screened rows included.  CGGS is
+        stateful, so it always prices serially in input order regardless
+        of ``workers``.
         """
         method = self._resolve(method)
-        if method != "enumeration" or workers <= 1:
+        if method != "enumeration":
             serial = self.solver(
                 method=method, backend=backend, seed=seed, **kwargs
             )
@@ -229,34 +259,47 @@ class FixedSolveCache:
         options = tuple(sorted(kwargs.items()))
         scope = (method, backend, options)
 
-        def price(vectors: np.ndarray) -> list[FixedThresholdSolution]:
+        def price(
+            vectors: np.ndarray,
+        ) -> list[FixedThresholdSolution | Screened]:
             arr = self._as_batch(vectors)
             keys = [
                 scope + (tuple(np.round(b, 9).tolist()),) for b in arr
             ]
+            # One incumbent for the whole batch, whichever process
+            # prices which vector.
+            incumbent = None if screen is None else screen.incumbent
             # One lock span for dedupe + solve + insert: a concurrent
             # batch must not observe a half-filled memo, and the pool
             # executor is single-ownership state.
             with self._lock:
                 fresh: dict[tuple, np.ndarray] = {}
                 for key, b in zip(keys, arr, strict=True):
-                    if key in self._solutions or key in fresh:
+                    if key in fresh or _serves(
+                        self._solutions.get(key), incumbent
+                    ):
                         self.hits += 1
                     else:
                         self.misses += 1
                         fresh[key] = b
                 if fresh:
                     stack = np.stack(list(fresh.values()))
-                    chunk = (
-                        chunk_size
-                        if chunk_size is not None
-                        else parallel.default_chunk_size(
-                            len(stack), workers
+                    if workers > 1:
+                        chunk = (
+                            chunk_size
+                            if chunk_size is not None
+                            else parallel.default_chunk_size(
+                                len(stack), workers
+                            )
                         )
-                    )
-                    solutions = self._price_resilient(
-                        workers, backend, options, stack, chunk
-                    )
+                        solutions = self._price_resilient(
+                            workers, backend, options, stack, chunk,
+                            incumbent,
+                        )
+                    else:
+                        solutions = self._price_serial(
+                            backend, options, stack, incumbent
+                        )
                     for key, solution in zip(fresh, solutions, strict=True):
                         self._solutions[key] = solution
                 return [self._solutions[key] for key in keys]
@@ -274,7 +317,8 @@ class FixedSolveCache:
         chunk_size: int | None = None,
         **kwargs: object,
     ) -> list[FixedThresholdSolution]:
-        """One-shot convenience wrapper around :meth:`batch_solver`."""
+        """One-shot convenience wrapper around :meth:`batch_solver`
+        (which never screens without a holder)."""
         return self.batch_solver(
             method=method,
             backend=backend,
@@ -302,7 +346,8 @@ class FixedSolveCache:
         options: tuple[tuple[str, object], ...],
         stack: np.ndarray,
         chunk: int,
-    ) -> list[FixedThresholdSolution]:
+        incumbent: Incumbent | None,
+    ) -> list[FixedThresholdSolution | Screened]:
         """Parallel pricing with pool-crash degradation (lock held).
 
         A dead worker (OOM kill, segfault — or an injected
@@ -320,6 +365,7 @@ class FixedSolveCache:
                     options,
                     stack,
                     chunk,
+                    incumbent,
                 )
             except BrokenExecutor:
                 self._discard_executor()
@@ -327,19 +373,20 @@ class FixedSolveCache:
                     obs.counter("repro_engine_pool_rebuilds_total")
                 else:
                     obs.counter("repro_engine_pool_serial_fallbacks_total")
-        return self._price_serial(backend, options, stack)
+        return self._price_serial(backend, options, stack, incumbent)
 
     def _price_serial(
         self,
         backend: str,
         options: tuple[tuple[str, object], ...],
         stack: np.ndarray,
-    ) -> list[FixedThresholdSolution]:
+        incumbent: Incumbent | None,
+    ) -> list[FixedThresholdSolution | Screened]:
         """Serial pricing through the shared enumeration solver.
 
         Uses the same ``(method, backend, options)`` solver memo as
-        :meth:`solver`'s enumeration path, so fallback results are
-        exactly what ``workers=1`` would have produced.
+        :meth:`solver`'s enumeration path: this is the ``workers=1``
+        path, and the pool's fallback gets exactly its results.
         """
         solver_key = ("enumeration", backend, options)
         base = self._solvers.get(solver_key)
@@ -352,7 +399,7 @@ class FixedSolveCache:
                 **dict(options),
             )
             self._solvers[solver_key] = base
-        return [base(b) for b in stack]
+        return [base(b, incumbent) for b in stack]
 
     def _discard_executor(self) -> None:
         with self._lock:

@@ -5,8 +5,10 @@ of threshold vectors against its memo and hands the remaining misses
 here.  Workers are seeded exactly once with the ``(game, scenarios)``
 pair through the pool initializer (inherited for free under ``fork``,
 pickled once under ``spawn``); each task then ships only ``(backend,
-options, vectors)`` and returns the priced
-:class:`~repro.solvers.master.FixedThresholdSolution` list.  Worker-side
+options, vectors)`` plus the batch's screening
+:class:`~repro.solvers.enumeration.Incumbent`, if any, and returns the
+priced :class:`~repro.solvers.master.FixedThresholdSolution` (or
+:class:`~repro.solvers.enumeration.Screened`) list.  Worker-side
 :class:`~repro.solvers.enumeration.EnumerationSolver` instances are
 memoized per ``(backend, options)`` so chunked batches reuse them.
 
@@ -27,7 +29,7 @@ import numpy as np
 from .. import faults, obs
 from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
-from ..solvers.enumeration import EnumerationSolver
+from ..solvers.enumeration import EnumerationSolver, Incumbent, Screened
 from ..solvers.master import FixedThresholdSolution
 
 __all__ = ["default_chunk_size", "make_executor", "price_parallel"]
@@ -47,7 +49,8 @@ def _price_chunk(
     options: tuple[tuple[str, object], ...],
     vectors: np.ndarray,
     span_path: tuple[str, ...] | None = None,
-) -> list[FixedThresholdSolution]:
+    incumbent: Incumbent | None = None,
+) -> list[FixedThresholdSolution | Screened]:
     # Worker-side injection point: under fork the plan/flag are
     # inherited from the submitter, so chaos plans reach in here too.
     faults.point("engine.parallel.worker")
@@ -63,7 +66,7 @@ def _price_chunk(
         )
         solvers[key] = solver
     if span_path is None:
-        return solver.solve_batch(vectors)
+        return solver.solve_batch(vectors, incumbent)
     # The submitter had telemetry on: record into this worker's (local)
     # registry with the submitting solve's span chain as our parent, so
     # worker-side spans read `...engine.price_batch.price_chunk`.
@@ -71,7 +74,7 @@ def _price_chunk(
         obs.enable()
     with obs.adopt_span_path(span_path):
         with obs.span("price_chunk"):
-            return solver.solve_batch(vectors)
+            return solver.solve_batch(vectors, incumbent)
 
 
 def make_executor(
@@ -108,8 +111,11 @@ def price_parallel(
     options: tuple[tuple[str, object], ...],
     vectors: np.ndarray,
     chunk_size: int,
-) -> list[FixedThresholdSolution]:
+    incumbent: Incumbent | None = None,
+) -> list[FixedThresholdSolution | Screened]:
     """Fan chunks of ``vectors`` out over the pool; gather in input order.
+
+    Every chunk is screened against the same ``incumbent``.
 
     A dead worker surfaces as :class:`BrokenProcessPool` out of
     ``future.result()`` and propagates to the caller —
@@ -133,9 +139,10 @@ def price_parallel(
                 options,
                 vectors[start : start + chunk_size],
                 span_path,
+                incumbent,
             )
         )
-    solutions: list[FixedThresholdSolution] = []
+    solutions: list[FixedThresholdSolution | Screened] = []
     for future in futures:
         solutions.extend(future.result())
     return solutions

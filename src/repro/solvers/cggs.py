@@ -51,7 +51,12 @@ from .. import obs
 from ..core.game import AuditGame
 from ..core.policy import Ordering, random_ordering
 from ..distributions.joint import ScenarioSet
-from .master import FixedThresholdSolution, MasterProblem, PolicyContext
+from .master import (
+    FixedThresholdSolution,
+    MasterProblem,
+    PolicyContext,
+    utilities_linear_in_pal,
+)
 
 __all__ = ["CGGSSolver", "CGGSResult"]
 
@@ -156,6 +161,7 @@ class CGGSSolver:
             lp_calls=fixed.lp_calls,
             n_columns=fixed.n_columns,
             adversary_utilities=fixed.adversary_utilities,
+            row_duals=fixed.row_duals,
             columns_generated=columns_generated,
             final_reduced_cost=last_reduced_cost,
             converged=converged,
@@ -215,20 +221,11 @@ class CGGSSolver:
 
         :meth:`_greedy_ordering_table` folds ``utility_matrix`` and
         ``detection_probability`` into one linear projection of the
-        ``Pal`` row; a payoff or attack-map subclass that overrides
-        either kernel invalidates that algebra, so such games keep the
-        generic per-candidate oracle.
+        ``Pal`` row, valid when
+        :func:`~repro.solvers.master.utilities_linear_in_pal` holds;
+        other games keep the generic per-candidate oracle.
         """
-        from ..core.attack_map import AttackTypeMap
-        from ..core.payoffs import PayoffModel
-
-        game = self.game
-        return (
-            type(game.payoffs).utility_matrix
-            is PayoffModel.utility_matrix
-            and type(game.attack_map).detection_probability
-            is AttackTypeMap.detection_probability
-        )
+        return utilities_linear_in_pal(self.game)
 
     def _greedy_ordering_table(
         self, context: PolicyContext, duals: np.ndarray

@@ -20,15 +20,36 @@ game, same deduplicated row set, same ``|T|!`` columns), so the static
 constraint blocks, objective and bounds are built once and only the
 utility columns are filled per vector — the batch-pricing and parallel
 worker paths (which memoize solver instances) inherit this for free.
+
+**Probe screening.**  Given an :class:`Incumbent` — another master's
+attack-row duals and a cutoff — :meth:`EnumerationSolver.solve` first
+bounds the probe's master optimum from below without assembling a
+column: any attack-row duals ``lambda >= 0`` with ``sum_{r in e}
+lambda_r = p_e`` (``<= p_e`` when attackers may refrain) are feasible
+for the dual of *every* threshold vector's master, because the ``u``
+columns do not depend on ``b``.  Weak duality then gives
+
+    LB(b) = min_o lambda . Ua_o(b) = c0 - max_o sum_t w_t Pal_o(b)[t],
+
+with ``c0 = sum_r lambda_r (R - K)_r`` and ``w_t = sum_r lambda_r
+(M + R)_r P_{r,t}`` under the stock kernels, and the maximum over all
+``|T|!`` orderings is one DP over the probe's own ``PalTable``
+(:meth:`~repro.core.pal_table.PalTable.max_weighted_pal`).  A probe
+whose bound, less its rounding margin (:class:`DualBound`), reaches the
+cutoff returns :class:`Screened` instead of solving its LP; any other
+probe is solved as before from the same table.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.game import AuditGame
+from ..core.objective import REFRAIN_TIE_TOL
+from ..core.pal_table import PalTable
 from ..core.policy import all_orderings
 from ..distributions.joint import ScenarioSet
 from .master import (
@@ -36,12 +57,65 @@ from .master import (
     MasterProblem,
     MasterSkeleton,
     PolicyContext,
+    utilities_linear_in_pal,
 )
 
-__all__ = ["EnumerationSolver", "DEFAULT_MAX_ORDERINGS"]
+__all__ = [
+    "DEFAULT_MAX_ORDERINGS",
+    "DualBound",
+    "EnumerationSolver",
+    "Incumbent",
+    "Screened",
+]
 
 #: Refuse to enumerate beyond this many orderings by default (7! = 5040).
 DEFAULT_MAX_ORDERINGS = 5040
+
+
+@dataclass(frozen=True)
+class Screened:
+    """Stand-in result for a probe the dual bound shows cannot win.
+
+    ``lower_bound`` is certified: the objective the probe's master solve
+    would report is at least this value (the all-orderings bound less
+    its rounding margin), and it reached the screening cutoff.
+    """
+
+    lower_bound: float
+
+
+@dataclass(frozen=True)
+class Incumbent:
+    """What a screening solve compares each probe against.
+
+    ``duals`` are the incumbent master's attack-row duals over the
+    solver's representative rows
+    (:attr:`~repro.solvers.master.FixedThresholdSolution.row_duals`); a
+    probe is screened when its certified bound is at least ``cutoff``.
+    """
+
+    duals: np.ndarray
+    cutoff: float
+
+
+@dataclass(frozen=True)
+class DualBound:
+    """Attack-row duals projected onto dual feasibility, ready to bound.
+
+    ``lower_bound(table)`` is ``c0 - max_o w' Pal_o``, at most the master
+    optimum at the table's thresholds in exact arithmetic.  ``margin``
+    bounds what rounding can add to that gap (see
+    :meth:`EnumerationSolver.dual_bound`): the objective a master solve
+    reports is at least ``lower_bound(table) - margin``.
+    """
+
+    c0: float
+    weights: np.ndarray
+    margin: float
+
+    def lower_bound(self, table: PalTable) -> float:
+        """The all-orderings Lagrangian bound at ``table``'s thresholds."""
+        return self.c0 - table.max_weighted_pal(self.weights)
 
 
 class EnumerationSolver:
@@ -88,15 +162,33 @@ class EnumerationSolver:
         self._skeleton = MasterSkeleton(
             game, self._rep_rows[0], n_orderings
         )
+        # The last incumbent's duals and their projection: one batch
+        # screens every probe against the same Incumbent.
+        self._bound_for: tuple[np.ndarray, DualBound | None] | None = None
 
-    def solve(self, thresholds: np.ndarray) -> FixedThresholdSolution:
-        """Optimal restricted-strategy-space mixed policy for ``b``."""
+    def solve(
+        self,
+        thresholds: np.ndarray,
+        incumbent: Incumbent | None = None,
+    ) -> FixedThresholdSolution | Screened:
+        """Optimal restricted-strategy-space mixed policy for ``b``.
+
+        With an ``incumbent``, first screen the probe (see the module
+        docstring): return :class:`Screened` when its certified bound
+        reaches ``incumbent.cutoff``, else solve from the same table.
+        """
         context = PolicyContext(
             self.game,
             self.scenarios,
             thresholds,
             representative_rows=self._rep_rows,
         )
+        if incumbent is not None:
+            bound = self._cached_bound(incumbent.duals)
+            if bound is not None:
+                lower = bound.lower_bound(context.pal_table()) - bound.margin
+                if lower >= incumbent.cutoff:
+                    return Screened(lower)
         master = MasterProblem(
             context, backend=self.backend, skeleton=self._skeleton
         )
@@ -109,21 +201,102 @@ class EnumerationSolver:
             lp_calls=fixed.lp_calls,
             n_columns=fixed.n_columns,
             adversary_utilities=fixed.adversary_utilities,
+            row_duals=fixed.row_duals,
         )
 
     def solve_batch(
-        self, thresholds_batch: np.ndarray
-    ) -> list[FixedThresholdSolution]:
+        self,
+        thresholds_batch: np.ndarray,
+        incumbent: Incumbent | None = None,
+    ) -> list[FixedThresholdSolution | Screened]:
         """Solve a ``(B, T)`` stack of threshold vectors, in input order.
 
         Every solve shares this solver's LP skeleton and row dedupe, and
-        the results are exactly ``[solve(b) for b in batch]`` — the
-        parallel pricing layer depends on that identity.
+        the results are exactly ``[solve(b, incumbent) for b in batch]``
+        — the parallel pricing layer depends on that identity.
         """
         arr = np.asarray(thresholds_batch, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(
                 f"thresholds batch must be 2-D (B, T), got {arr.shape}"
             )
-        return [self.solve(b) for b in arr]
+        return [self.solve(b, incumbent) for b in arr]
+
+    def _cached_bound(self, duals: np.ndarray) -> DualBound | None:
+        if self._bound_for is None or self._bound_for[0] is not duals:
+            self._bound_for = (duals, self.dual_bound(duals))
+        return self._bound_for[1]
+
+    def dual_bound(self, duals: np.ndarray) -> DualBound | None:
+        """Project attack-row duals onto dual feasibility for any ``b``.
+
+        ``duals`` are one master's attack-row duals over this solver's
+        representative rows (``<= 0``).  The projection takes ``lambda =
+        max(-duals, 0)`` and rescales each adversary's rows to ``sum
+        lambda_r = p_e`` when ``u_e`` is free, or caps the sum at ``p_e``
+        when attackers may refrain.  An adversary whose duals are all
+        zero gets uniform weights when ``u_e`` is free and none when it
+        may refrain.  Whatever the LP returned, the result is then a
+        feasible dual for every threshold vector's master.
+
+        The margin is the sum of two terms.  With refraining allowed, a
+        reported ``u_e`` may sit up to ``REFRAIN_TIE_TOL`` below the LP's
+        ``u_e >= 0`` (the tie tolerance of
+        :func:`~repro.core.objective.best_responses`), hence
+        ``REFRAIN_TIE_TOL * sum_e p_e``.  Then rounding: each side of the
+        comparison is built from sums of at most ``n_rows`` (``c0``,
+        ``w``, the rescale), ``|T|!`` (the policy's mixing weights), ``T``
+        (a DP path, ``P @ Pal``) or ``E`` (the objective) rounded terms
+        plus a few elementwise operations.  ``n = 2 (n_rows + |T|! + T +
+        E) + 16`` over-counts every such chain on both sides, and a chain
+        of ``n`` roundings has relative error at most ``gamma_n = n u /
+        (1 - n u) <= n * eps`` (``u = eps / 2``; Higham, *Accuracy and
+        Stability of Numerical Algorithms*, §3.1).  Every term is at most
+        ``|c0| + sum_t |w_t| + sum_e p_e * max_r (|R - K|_r + |M + R|_r *
+        sum_t P_{r,t})`` in size, since ``0 <= Pal <= 1``, so ``n * eps``
+        times that scale bounds the rounding.
+
+        Returns None when the game overrides a utility kernel
+        (:func:`~repro.solvers.master.utilities_linear_in_pal`): the
+        bound's algebra does not hold there.
+        """
+        game = self.game
+        if not utilities_linear_in_pal(game):
+            return None
+        e_rows, v_rows = self._rep_rows
+        lam = np.maximum(-np.asarray(duals, dtype=np.float64), 0.0)
+        if lam.shape != e_rows.shape:
+            raise ValueError(
+                f"expected {len(e_rows)} attack-row duals, got {lam.shape}"
+            )
+        payoffs = game.payoffs
+        prior = payoffs.attack_prior
+        refrain = payoffs.attackers_can_refrain
+        for e in range(game.n_adversaries):
+            rows = np.flatnonzero(e_rows == e)
+            total = lam[rows].sum()
+            if total > 0.0:
+                if not refrain or total > prior[e]:
+                    lam[rows] *= prior[e] / total
+            elif not refrain:
+                lam[rows] = prior[e] / len(rows)
+        benefit = payoffs.benefit[e_rows, v_rows]
+        gain = benefit - payoffs.attack_cost[e_rows, v_rows]
+        swing = payoffs.penalty[e_rows, v_rows] + benefit
+        probs = game.attack_map.probabilities[e_rows, v_rows]
+        c0 = float(lam @ gain)
+        weights = (lam * swing) @ probs
+        n_terms = 2 * (
+            len(e_rows) + len(self._orderings) + game.n_types
+            + game.n_adversaries
+        ) + 16
+        scale = abs(c0) + float(np.abs(weights).sum()) + float(
+            prior.sum()
+        ) * float(
+            np.max(np.abs(gain) + np.abs(swing) * probs.sum(axis=1))
+        )
+        margin = n_terms * float(np.finfo(np.float64).eps) * scale
+        if refrain:
+            margin += REFRAIN_TIE_TOL * float(prior.sum())
+        return DualBound(c0=c0, weights=weights, margin=margin)
 

@@ -12,8 +12,16 @@ subsets of thresholds by a ratio ``1 - i * eps``:
 * if a full sweep of ratios at some ``lh`` yields no improvement, ``lh``
   grows; the search stops once ``lh > |T|``.
 
-Each probe costs one fixed-threshold master solve (enumeration for small
-``|T|``, CGGS otherwise), which is exactly the quantity Table VII counts.
+Table VII counts the threshold vectors checked.  Each costs one
+fixed-threshold master solve (enumeration for small ``|T|``, CGGS
+otherwise) unless the enumeration pricer *screens* it: given a
+:class:`ProbeScreen`, the pricer compares every probe's all-orderings
+dual bound — built from the incumbent master's duals, see
+:mod:`repro.solvers.enumeration` — with the round's cutoff
+``best - improvement_tol``, and a probe whose bound reaches it comes
+back :class:`~repro.solvers.enumeration.Screened` without an LP.  Such
+a probe could never have been accepted, so the search path, the result
+and ``lp_calls`` are exactly those of the unscreened search.
 
 Two deliberate clarifications versus the pseudocode:
 
@@ -42,16 +50,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..core.game import AuditGame
 from ..core.policy import AuditPolicy
 from ..distributions.joint import ScenarioSet
 from .cggs import CGGSSolver
-from .enumeration import EnumerationSolver
+from .enumeration import EnumerationSolver, Incumbent, Screened
 from .lp import available_backends
 from .master import FixedThresholdSolution
 
 __all__ = [
     "ISHMResult",
+    "ProbeScreen",
     "iterative_shrink",
     "make_fixed_solver",
     "run_iterative_shrink",
@@ -66,8 +76,36 @@ FixedSolver = Callable[[np.ndarray], FixedThresholdSolution]
 
 #: Prices a ``(B, T)`` stack of threshold vectors, results in input
 #: order.  ``FixedSolveCache.batch_solver`` builds these; a plain
-#: :data:`FixedSolver` is adapted by mapping it over the rows.
-BatchFixedSolver = Callable[[np.ndarray], "list[FixedThresholdSolution]"]
+#: :data:`FixedSolver` is adapted by mapping it over the rows.  A
+#: screening pricer may answer :class:`Screened` for some rows.
+BatchFixedSolver = Callable[
+    [np.ndarray], "list[FixedThresholdSolution | Screened]"
+]
+
+
+class ProbeScreen:
+    """The incumbent a screening batch pricer compares probes against.
+
+    One holder is shared by ISHM, which sets :attr:`incumbent` after
+    pricing the start vector and after every acceptance, and by the
+    pricer (``FixedSolveCache.batch_solver(..., screen=holder)``), which
+    reads it once per batch.  The pricer gets the holder from its
+    factory, so the batch call itself keeps its one-argument shape.
+    """
+
+    __slots__ = ("incumbent",)
+
+    def __init__(self) -> None:
+        self.incumbent: Incumbent | None = None
+
+    def update(
+        self, solution: FixedThresholdSolution, cutoff: float
+    ) -> None:
+        """Screen against ``solution``'s duals from now on."""
+        duals = solution.row_duals
+        self.incumbent = (
+            None if duals is None else Incumbent(duals, float(cutoff))
+        )
 
 
 def make_fixed_solver(
@@ -116,9 +154,11 @@ def make_fixed_solver(
 class ISHMResult:
     """Outcome of one ISHM run.
 
-    ``lp_calls`` counts fixed-threshold master solves — the paper's
-    "number of threshold vectors checked" (Table VII); cache hits and
-    probes identical to the incumbent are excluded.  ``history`` records
+    ``lp_calls`` counts the paper's "number of threshold vectors
+    checked" (Table VII): distinct vectors priced, screened ones
+    included; repeats and probes identical to the incumbent are
+    excluded.  ``screened`` counts the vectors among them whose master
+    was skipped by the dual-bound screen.  ``history`` records
     ``(thresholds, objective)`` at every accepted improvement.
     """
 
@@ -131,6 +171,7 @@ class ISHMResult:
     history: tuple[tuple[np.ndarray, float], ...] = field(
         default_factory=tuple
     )
+    screened: int = 0
 
     def quotas(self, costs: np.ndarray) -> np.ndarray:
         """``floor(b_t / C_t)`` — max alerts auditable per type."""
@@ -166,6 +207,7 @@ def run_iterative_shrink(
     quantize: str = "round",
     quantum: float = 1.0,
     batch_solver: BatchFixedSolver | None = None,
+    screen: ProbeScreen | None = None,
 ) -> ISHMResult:
     """Run Algorithm 2 and return the best threshold vector found.
 
@@ -188,7 +230,8 @@ def run_iterative_shrink(
         Starting vector; defaults to the full-coverage upper bounds
         ``J_t * C_t``.
     improvement_tol:
-        Minimum strict decrease of the objective to accept a shrink.
+        Minimum strict decrease of the objective to accept a shrink;
+        finite and non-negative, so the acceptance cutoff only falls.
     max_probes:
         Optional hard cap on inner solves (None = faithful unbounded run).
     quantize, quantum:
@@ -202,9 +245,19 @@ def run_iterative_shrink(
         the same vectors in the same round structure as the serial path,
         so results (and ``lp_calls``) are identical.  Mutually exclusive
         with ``solver``.
+    screen:
+        The holder the ``batch_solver`` was built with, if it screens
+        probes (see the module docstring).  The run keeps it on the
+        current incumbent and cutoff and skips the :class:`Screened`
+        records the pricer returns.
     """
     if not 0.0 < step_size < 1.0:
         raise ValueError(f"step size must be in (0, 1), got {step_size}")
+    if not (math.isfinite(improvement_tol) and improvement_tol >= 0.0):
+        raise ValueError(
+            "improvement_tol must be finite and non-negative, "
+            f"got {improvement_tol}"
+        )
     if quantize not in _QUANTIZE_MODES:
         raise ValueError(
             f"quantize must be one of {_QUANTIZE_MODES}, got {quantize!r}"
@@ -234,15 +287,18 @@ def run_iterative_shrink(
                 f"initial thresholds must have shape ({n_types},)"
             )
 
-    cache: dict[tuple[float, ...], FixedThresholdSolution] = {}
+    # A Screened entry stays a rejection for the rest of the run: its
+    # bound reached the cutoff of its round, and the cutoff only falls.
+    cache: dict[tuple[float, ...], FixedThresholdSolution | Screened] = {}
 
     lp_calls = 0
+    screened = 0
 
     def price_round(
         probes: list[np.ndarray],
-    ) -> list[FixedThresholdSolution]:
+    ) -> list[FixedThresholdSolution | Screened]:
         """Price one round of probes through the local memo as a batch."""
-        nonlocal lp_calls
+        nonlocal lp_calls, screened
         keys = [tuple(np.round(p, 9).tolist()) for p in probes]
         fresh: dict[tuple[float, ...], np.ndarray] = {}
         for key, probe in zip(keys, probes, strict=True):
@@ -252,11 +308,16 @@ def run_iterative_shrink(
             solutions = batch_solver(np.stack(list(fresh.values())))
             for key, solution in zip(fresh, solutions, strict=True):
                 cache[key] = solution
+                screened += isinstance(solution, Screened)
             lp_calls += len(fresh)
         return [cache[key] for key in keys]
 
+    if screen is not None:
+        screen.incumbent = None  # the start vector needs its full solve
     best_solution = price_round([current])[0]
     best_objective = best_solution.objective
+    if screen is not None:
+        screen.update(best_solution, best_objective - improvement_tol)
     history: list[tuple[np.ndarray, float]] = [
         (current.copy(), best_objective)
     ]
@@ -294,6 +355,8 @@ def run_iterative_shrink(
                     fresh_keys.add(key)
                 probes.append(probe)
             for probe, candidate in zip(probes, price_round(probes), strict=True):
+                if isinstance(candidate, Screened):
+                    continue  # its objective is at least the cutoff
                 if candidate.objective < round_best:
                     round_best = candidate.objective
                     round_probe = probe
@@ -306,6 +369,10 @@ def run_iterative_shrink(
                 best_solution = round_solution
                 current = round_probe
                 history.append((current.copy(), best_objective))
+                if screen is not None:
+                    screen.update(
+                        best_solution, best_objective - improvement_tol
+                    )
                 break  # restart the ratio sweep from the new incumbent
             progress = i
             if exhausted():
@@ -315,6 +382,8 @@ def run_iterative_shrink(
         else:
             lh = 1
 
+    # Boundary telemetry: one increment per run.
+    obs.counter("repro_ishm_screened_total", screened)
     return ISHMResult(
         thresholds=current,
         objective=best_objective,
@@ -323,6 +392,7 @@ def run_iterative_shrink(
         lp_calls=lp_calls,
         step_size=step_size,
         history=tuple(history),
+        screened=screened,
     )
 
 

@@ -45,10 +45,12 @@ from typing import Sequence
 import numpy as np
 
 from .. import faults, obs
+from ..core.attack_map import AttackTypeMap
 from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
 from ..core.pal_table import LazyPalTable, PalTable
 from ..core.objective import best_responses
+from ..core.payoffs import PayoffModel
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
 from .lp import (
@@ -65,7 +67,25 @@ __all__ = [
     "MasterProblem",
     "MasterSkeleton",
     "FixedThresholdSolution",
+    "utilities_linear_in_pal",
 ]
+
+
+def utilities_linear_in_pal(game: AuditGame) -> bool:
+    """True when the game prices utilities with the stock kernels.
+
+    Then ``Ua = R - K - (P @ Pal) * (M + R)``, so any dual-weighted sum
+    of one ordering's utilities is ``c0 - w' Pal`` for one scalar and one
+    per-type weight vector.  The CGGS closed-form oracle and the
+    enumeration solver's probe screen both rest on that algebra; a payoff
+    or attack-map subclass that overrides ``utility_matrix`` or
+    ``detection_probability`` invalidates it.
+    """
+    return (
+        type(game.payoffs).utility_matrix is PayoffModel.utility_matrix
+        and type(game.attack_map).detection_probability
+        is AttackTypeMap.detection_probability
+    )
 
 
 def _master_u_block(e_rows: np.ndarray, n_e: int) -> np.ndarray:
@@ -305,13 +325,19 @@ class PolicyContext:
 
 @dataclass(frozen=True)
 class FixedThresholdSolution:
-    """Optimal (restricted) mixed strategy for a fixed threshold vector."""
+    """Optimal (restricted) mixed strategy for a fixed threshold vector.
+
+    ``row_duals`` holds the final master's attack-row duals, one per
+    representative row (``<= 0`` in the LP's sign convention), or None
+    when the LP backend reports none.
+    """
 
     policy: AuditPolicy
     objective: float
     lp_calls: int
     n_columns: int
     adversary_utilities: np.ndarray
+    row_duals: np.ndarray | None = None
 
     def describe(self, type_names: Sequence[str] | None = None) -> str:
         """Short human-readable report."""
@@ -741,6 +767,7 @@ class MasterProblem:
             lp_calls=self.lp_calls,
             n_columns=n_q,
             adversary_utilities=utilities,
+            row_duals=solution.dual_ub,
         )
         return fixed, solution
 

@@ -147,7 +147,12 @@ def test_price_chunk_span_series_stay_bounded(
 
 
 def test_lp_solve_span_one_series_per_backend(registry):
-    """One ``lp.solve`` series under ``engine.solve``, one count per LP."""
+    """One ``lp.solve`` series under ``engine.solve``, one count per LP.
+
+    Every vector checked costs one LP unless the dual-bound screen
+    skipped it: on Syn A at B=2 and step 0.5 that is 31 vectors checked
+    and 1 LP.
+    """
     from repro.datasets import syn_a
 
     with AuditEngine(syn_a(budget=2)) as engine:
@@ -160,7 +165,9 @@ def test_lp_solve_span_one_series_per_backend(registry):
     assert len(series) == 1
     [(key, hist)] = series.items()
     assert dict(key) == {"span": "engine.solve.lp.solve", "backend": "scipy"}
-    assert hist.count == result.diagnostics["lp_calls"] > 0
+    screened = result.diagnostics["screened"]
+    assert hist.count == result.diagnostics["lp_calls"] - screened > 0
     assert hist.count == registry.counter_total(
         "repro_master_lp_calls_total"
     )
+    assert screened == registry.counter_total("repro_ishm_screened_total")

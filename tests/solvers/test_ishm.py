@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.engine import AuditEngine
 from repro.solvers import iterative_shrink, make_fixed_solver
-from repro.solvers.ishm import _shrunk
+from repro.solvers.ishm import _shrunk, run_iterative_shrink
 from tests.conftest import make_tiny_game
 
 
@@ -55,6 +56,20 @@ class TestIterativeShrink:
         with pytest.raises(ValueError):
             iterative_shrink(
                 tiny_game, tiny_scenarios, 0.5, quantum=0.0
+            )
+
+    @pytest.mark.parametrize("tol", [-5.0, float("nan")])
+    def test_validates_improvement_tol(self, tiny_game, tiny_scenarios,
+                                       tol):
+        # A negative tolerance accepts worsening shrinks (Syn A at B=10
+        # ended at 8.12 against full coverage's -2.87); NaN accepts none.
+        with pytest.raises(ValueError, match="improvement_tol"):
+            run_iterative_shrink(
+                tiny_game, tiny_scenarios, 0.5, improvement_tol=tol
+            )
+        with pytest.raises(ValueError, match="improvement_tol"):
+            AuditEngine(tiny_game).solve(
+                "ishm", step_size=0.5, improvement_tol=tol
             )
 
     def test_validates_initial_shape(self, tiny_game, tiny_scenarios):
