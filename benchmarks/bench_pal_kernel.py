@@ -11,6 +11,12 @@ exact and Monte-Carlo scenario sets, checking the rows agree to 1e-9.
 
 Acceptance (non-smoke): >= 3x speedup at ``T = 6``.  Measured ratios for
 every grid point land in ``BENCH_pal_kernel.json``.
+
+The ``store`` arm measures the :class:`~repro.core.PalEntryStore`: it
+captures the probe sequence of one ``syn_a(10)`` ISHM run at step 0.1
+(110 threshold vectors), then builds every probe's table cold and again
+through one store, asserting the two are bitwise equal.  It records both
+times, their ratio and how many entries the store computed and reused.
 """
 
 import time
@@ -25,11 +31,16 @@ from repro.core import (
     AttackTypeMap,
     AuditGame,
     OrderingPricer,
+    PalEntryStore,
     PalTable,
     PayoffModel,
     all_orderings,
 )
+from repro.datasets import syn_a
 from repro.distributions import DiscretizedGaussian, JointCountModel
+from repro.engine import AuditEngine
+from repro.solvers.enumeration import EnumerationSolver
+from repro.solvers.ishm import run_iterative_shrink
 
 #: Joint supports beyond this size are sampled instead of enumerated.
 EXACT_LIMIT = 40_000
@@ -97,6 +108,50 @@ def time_kernels(game, scenarios, thresholds):
     return legacy_time, table_time, float(np.abs(fast - legacy).max())
 
 
+def ishm_probes(game, scenarios, step_size: float) -> list[np.ndarray]:
+    """The threshold vectors one ISHM run prices, in pricing order."""
+    solver = EnumerationSolver(game, scenarios)
+    probes: list[np.ndarray] = []
+
+    def record(thresholds):
+        probes.append(np.array(thresholds, dtype=np.float64))
+        return solver.solve(thresholds)
+
+    run_iterative_shrink(game, scenarios, step_size, solver=record)
+    return probes
+
+
+def store_replay() -> dict:
+    """Every probe table of syn_a(10) ISHM, cold and through one store."""
+    game = syn_a(budget=10)
+    scenarios = AuditEngine(game).scenario_set()
+    pricers = [
+        OrderingPricer(
+            b, scenarios, game.costs, game.budget, game.zero_count_rule
+        )
+        for b in ishm_probes(game, scenarios, 0.1)
+    ]
+    started = time.perf_counter()
+    cold = [PalTable.from_pricer(p) for p in pricers]
+    cold_time = time.perf_counter() - started
+    store = PalEntryStore()
+    started = time.perf_counter()
+    shared = [PalTable.from_pricer(p, store=store) for p in pricers]
+    store_time = time.perf_counter() - started
+    for mine, ref in zip(shared, cold, strict=True):
+        assert mine.table.tobytes() == ref.table.tobytes()
+    entries = len(pricers) * (game.n_types << (game.n_types - 1))
+    return {
+        "probes": len(pricers),
+        "entries": entries,
+        "computed": len(store),
+        "reused": entries - len(store),
+        "cold_seconds": cold_time,
+        "store_seconds": store_time,
+        "speedup": cold_time / store_time if store_time else float("inf"),
+    }
+
+
 def test_pal_kernel_speedup(benchmark):
     type_grid = pick(
         smoke=(4,), fast=(4, 5, 6, 7, 8), full=(4, 5, 6, 7, 8)
@@ -147,6 +202,7 @@ def test_pal_kernel_speedup(benchmark):
         return speedups
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
+    store = store_replay()
     emit(
         "Subset-memoized detection kernel — full ordering set, one vector",
         render_table(
@@ -162,11 +218,30 @@ def test_pal_kernel_speedup(benchmark):
             rows,
         ),
     )
+    emit(
+        "Pal entry store — syn_a(10) ISHM probe tables, step 0.1",
+        render_table(
+            ["probes", "entries", "computed", "reused", "cold", "store",
+             "speedup"],
+            [
+                [
+                    str(store["probes"]),
+                    str(store["entries"]),
+                    str(store["computed"]),
+                    str(store["reused"]),
+                    f"{store['cold_seconds'] * 1e3:.1f}ms",
+                    f"{store['store_seconds'] * 1e3:.1f}ms",
+                    f"{store['speedup']:.2f}x",
+                ]
+            ],
+        ),
+    )
     write_bench_json(
         "pal_kernel",
         {
             "kernel": records,
             "type_grid": list(type_grid),
+            "store": store,
         },
     )
     if not smoke_mode():

@@ -16,7 +16,12 @@ from .detection import (
     remaining_budget,
 )
 from .entities import Adversary, Event, Victim
-from .pal_table import LazyPalTable, PalTable, subset_table_pays
+from .pal_table import (
+    LazyPalTable,
+    PalEntryStore,
+    PalTable,
+    subset_table_pays,
+)
 from .game import AuditGame, make_game
 from .objective import (
     REFRAIN,
@@ -50,6 +55,7 @@ __all__ = [
     "Ordering",
     "OrderingPricer",
     "LazyPalTable",
+    "PalEntryStore",
     "PalTable",
     "PayoffModel",
     "PolicyEvaluation",

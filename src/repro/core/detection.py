@@ -73,12 +73,13 @@ def _check_inputs(
             f"thresholds {b.shape} and costs {c.shape} must be equal-length "
             "vectors"
         )
-    if b.min() < 0:
-        raise ValueError("thresholds must be non-negative")
-    if c.min() <= 0:
-        raise ValueError("audit costs must be positive")
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    # Written so that NaN fails: every comparison with NaN is False.
+    if not (b >= 0).all():
+        raise ValueError(f"thresholds must be non-negative, not NaN: {b}")
+    if not (c > 0).all():
+        raise ValueError(f"audit costs must be positive, not NaN: {c}")
+    if not budget >= 0:
+        raise ValueError(f"budget must be non-negative, not NaN: {budget}")
     return b, c
 
 
@@ -149,6 +150,7 @@ class OrderingPricer:
         "costs",
         "budget",
         "zero_count_rule",
+        "scenarios",
         "counts",
         "weights",
         "n_types",
@@ -178,6 +180,7 @@ class OrderingPricer:
         self.costs = c
         self.budget = float(budget)
         self.zero_count_rule = zero_count_rule
+        self.scenarios = scenarios
         self.counts = Z
         self.weights = scenarios.weights
         self.n_types = len(b)
@@ -193,9 +196,13 @@ class OrderingPricer:
         """``Pal(o, b, .)`` via the reference front-to-back walk."""
         pal = np.zeros(self.n_types)
         consumed = np.zeros(self.counts.shape[0])
+        placed = 0
         for t in ordering:
             if not 0 <= t < self.n_types:
                 raise ValueError(f"type index {t} out of range")
+            if placed >> t & 1:
+                raise ValueError(f"type {t} is already placed")
+            placed |= 1 << t
             capacity = np.maximum(
                 np.floor((self.budget - consumed) / self.costs[t]), 0.0
             )

@@ -5,8 +5,9 @@ its time in two primitives: the predecessor-set **consumption DP** over
 the ``2^T`` subset masks and the per-type **capacity/ratio sweep** that
 turns consumed budget into audited-fraction products.  Both are
 vectorized, allocation-free numpy pipelines that fill caller-supplied
-buffers; the lazy table (:class:`~repro.core.pal_table.LazyPalTable`)
-reuses the sweep one prefix mask at a time.
+buffers, over whichever masks and rows the caller still lacks; the lazy
+table (:class:`~repro.core.pal_table.LazyPalTable`) reuses the sweep one
+prefix mask at a time.
 
 Every primitive computes *elementwise products only* (subtract, divide,
 floor, clamp, multiply — each value depends on one scenario).  The
@@ -19,6 +20,8 @@ hot-loop list; callers instrument at their build boundaries.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,15 +40,18 @@ def resolve_kernel_backend(backend: str = "auto") -> str:
 
 def dp_consumed(
     contrib: np.ndarray,
-    prev: np.ndarray,
-    bit: np.ndarray,
+    prev: Sequence[int],
+    bit: Sequence[int],
     consumed: np.ndarray,
+    masks: Iterable[int],
 ) -> None:
     """Fill ``consumed[mask, s]``, the budget consumed by the types in
-    ``mask``, via the lowest-set-bit recursion ``consumed[mask] =
-    consumed[prev[mask]] + contrib[:, bit[mask]]``."""
+    ``mask``, for ``mask = 0`` and each of ``masks`` via the
+    lowest-set-bit recursion ``consumed[mask] = consumed[prev[mask]] +
+    contrib[:, bit[mask]]``.  ``masks`` must rise and hold every
+    nonzero ``prev`` of its members; other rows are left untouched."""
     consumed[0] = 0.0
-    for mask in range(1, consumed.shape[0]):
+    for mask in masks:
         np.add(
             consumed[prev[mask]], contrib[:, bit[mask]],
             out=consumed[mask],

@@ -44,11 +44,31 @@ The same lattice also maximizes a weighted ``Pal`` row over all ``T!``
 orderings in ``O(T * 2^T)`` (:meth:`PalTable.max_weighted_pal`): the
 all-orderings dual bound with which the enumeration solver screens ISHM
 probes.
+
+Entry store
+-----------
+An entry ``table[t, S]`` depends on the thresholds only through
+``b_t`` and ``b_s`` for ``s`` in ``S``, and ISHM moves one threshold per
+probe, so most entries of a probe's table repeat one an earlier probe
+computed.  A :class:`PalEntryStore` keeps every computed entry under the
+key ``(t, S, b restricted to S | {t})`` — exact threshold bits, packed
+into one int (:meth:`PalEntryStore._bind`) — for one scenario set, cost
+vector, budget and zero-count rule.  Both tables read it before
+computing and write back what they compute: the eager table sweeps only
+its missing entries (and the consumption DP only their masks and those
+masks' lowest-set-bit ancestors), the lazy table only a row's missing
+types.  A missing entry goes through the same elementwise operations,
+the same pairwise ``.sum(axis=-1)`` and the same accumulation onto a
+zeroed entry as in a table built from scratch, so a table built through
+a store is bitwise the table built without one.  A table built without
+a caller's store builds through a private empty one: there is one build
+path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +80,7 @@ from .policy import Ordering
 
 __all__ = [
     "LazyPalTable",
+    "PalEntryStore",
     "PalTable",
     "subset_table_pays",
     "SUBSET_TABLE_TYPE_LIMIT",
@@ -73,6 +94,10 @@ SUBSET_TABLE_TYPE_LIMIT = 12
 #: Cap on the consumption DP working set (mask rows x scenario columns,
 #: in float64 elements); larger scenario sets are swept in chunks.
 _DP_ELEMENT_BUDGET = 1 << 22
+
+#: Bits per type in an entry key: room for 2^32 - 1 distinct threshold
+#: values per type, far more than a store's memory could hold.
+_ID_BITS = 32
 
 
 def subset_table_pays(
@@ -93,15 +118,129 @@ def subset_table_pays(
     return n_orderings > (1 << (n_types - 1))
 
 
-def _mask_recursion(n_masks: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(prev, bit)`` of the lowest-set-bit DP, one entry per mask."""
-    prev = np.zeros(n_masks, dtype=np.int64)
-    bit = np.zeros(n_masks, dtype=np.int64)
+class _Lattice(NamedTuple):
+    """Index structures of the ``2^T`` subset lattice, shared per ``T``.
+
+    ``prev``/``bit`` drive the lowest-set-bit consumption DP.  The
+    eager table's ``T * 2^(T-1)`` used entries are laid out type-major:
+    entry ``i`` is ``table[types[i], masks[i]]``, with ``masks`` rising
+    within each type, and ``sets[i] = masks[i] | 1 << types[i]``.
+    Everything is immutable: one instance serves every table of a ``T``.
+    """
+
+    prev: tuple[int, ...]
+    bit: tuple[int, ...]
+    types: np.ndarray
+    masks: np.ndarray
+    sets: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _lattice(n_types: int) -> _Lattice:
+    n_masks = 1 << n_types
+    prev = [0] * n_masks
+    bit = [0] * n_masks
     for mask in range(1, n_masks):
         low = mask & -mask
         prev[mask] = mask ^ low
         bit[mask] = low.bit_length() - 1
-    return prev, bit
+    entries = [
+        (t, mask) for t in range(n_types) for mask in range(n_masks)
+        if not mask >> t & 1
+    ]
+    types = np.array([t for t, _ in entries], dtype=np.int64)
+    masks = np.array([mask for _, mask in entries], dtype=np.int64)
+    types.flags.writeable = False
+    masks.flags.writeable = False
+    return _Lattice(
+        prev=tuple(prev),
+        bit=tuple(bit),
+        types=types,
+        masks=masks,
+        sets=tuple(mask | 1 << t for t, mask in entries),
+    )
+
+
+def _set_fields(fields: list[int], mask: int) -> int:
+    """Sum of the key fields of the types in ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += fields[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+class PalEntryStore:
+    """``Pal`` table entries shared by every table of one solver.
+
+    ``table[t, S]`` depends only on ``t``, ``S`` and the thresholds of
+    ``S | {t}`` — given the scenario set, costs, budget and zero-count
+    rule, to which a store binds on the first table it serves (handing
+    it a table priced for different ones raises ``ValueError``).  Keys
+    are exact: each type's threshold bit patterns are interned to small
+    ids, and ``key(t, S) = fields(S | {t}) * T + t`` with ``fields(M) =
+    sum_{s in M} id_s << 32 s`` — one int per entry.  Entries summed over
+    different scenario chunkings are kept apart (they may round
+    differently), so every table read through a store is bitwise the
+    table built without one.
+
+    A store holds one float per distinct entry and is not locked: the
+    solvers touch theirs from one thread at a time (see
+    :mod:`repro.solvers.enumeration` and :mod:`repro.solvers.cggs`).
+    """
+
+    __slots__ = ("_binding", "_scenarios", "_value_ids", "_partitions")
+
+    def __init__(self) -> None:
+        self._binding: tuple[bytes, str, str] | None = None
+        self._scenarios: ScenarioSet | None = None
+        self._value_ids: list[dict[int, int]] = []
+        self._partitions: dict[int, dict[int, float]] = {}
+
+    def __len__(self) -> int:
+        """Number of stored entries, over every scenario chunking."""
+        partitions = self._partitions
+        return sum(len(partitions[chunk]) for chunk in sorted(partitions))
+
+    def _bind(
+        self, pricer: OrderingPricer, chunk: int
+    ) -> tuple[dict[int, float], list[int]]:
+        """Check ``pricer`` against the binding; return the entries of
+        its scenario chunking (``chunk`` scenarios per sweep) and the
+        key fields ``id_t << 32 t`` of its thresholds."""
+        binding = (
+            pricer.costs.tobytes(),
+            pricer.budget.hex(),
+            pricer.zero_count_rule,
+        )
+        scenarios = pricer.scenarios
+        if self._binding is None:
+            self._binding = binding
+            self._scenarios = scenarios
+            self._value_ids = [{} for _ in range(pricer.n_types)]
+        elif binding != self._binding or not (
+            scenarios is self._scenarios
+            or (
+                np.array_equal(scenarios.counts, self._scenarios.counts)
+                and np.array_equal(scenarios.weights, self._scenarios.weights)
+            )
+        ):
+            raise ValueError(
+                "this PalEntryStore holds entries of another game: the "
+                "scenario set, costs, budget or zero-count rule differ"
+            )
+        entries = self._partitions.get(chunk)
+        if entries is None:
+            entries = self._partitions[chunk] = {}
+        fields = []
+        for t, code in enumerate(pricer.thresholds.view(np.int64).tolist()):
+            ids = self._value_ids[t]
+            value_id = ids.get(code)
+            if value_id is None:
+                value_id = ids[code] = len(ids) + 1
+            fields.append(value_id << (_ID_BITS * t))
+        return entries, fields
 
 
 class PalTable:
@@ -130,18 +269,21 @@ class PalTable:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
         )
-        self._build(scenario_chunk)
+        self._build(scenario_chunk, None)
 
     @classmethod
     def from_pricer(
         cls,
         pricer: OrderingPricer,
         scenario_chunk: int | None = None,
+        *,
+        store: PalEntryStore | None = None,
     ) -> "PalTable":
-        """Build from an already-validated :class:`OrderingPricer`."""
+        """Build from an already-validated :class:`OrderingPricer`,
+        reading and filling ``store`` when given."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._build(scenario_chunk)
+        table._build(scenario_chunk, store)
         return table
 
     @property
@@ -155,7 +297,9 @@ class PalTable:
         view.flags.writeable = False
         return view
 
-    def _build(self, scenario_chunk: int | None) -> None:
+    def _build(
+        self, scenario_chunk: int | None, store: PalEntryStore | None
+    ) -> None:
         p = self._pricer
         n_types = p.n_types
         if n_types > SUBSET_TABLE_TYPE_LIMIT:
@@ -168,9 +312,26 @@ class PalTable:
         # obs-free (RPL701).
         obs.counter("repro_pal_table_builds_total")
         with obs.span("pal_table.build", types=n_types):
-            self._build_table(scenario_chunk, n_types)
+            computed = self._build_table(
+                scenario_chunk,
+                n_types,
+                PalEntryStore() if store is None else store,
+            )
+        obs.counter("repro_pal_entries_total", computed, source="computed")
+        obs.counter(
+            "repro_pal_entries_total",
+            n_types * (1 << (n_types - 1)) - computed,
+            source="reused",
+        )
 
-    def _build_table(self, scenario_chunk: int | None, n_types: int) -> None:
+    def _build_table(
+        self,
+        scenario_chunk: int | None,
+        n_types: int,
+        store: PalEntryStore,
+    ) -> int:
+        """Fill the table from ``store``, sweep the entries it lacks and
+        write them back; return how many were computed."""
         p = self._pricer
         n_masks = 1 << n_types
         n_scenarios = p.counts.shape[0]
@@ -180,19 +341,50 @@ class PalTable:
             raise ValueError(
                 f"scenario_chunk must be >= 1, got {scenario_chunk}"
             )
-        masks = np.arange(n_masks)
-        rows_without = [
-            masks[(masks >> t) & 1 == 0] for t in range(n_types)
+        lattice = _lattice(n_types)
+        entries, fields = store._bind(p, min(scenario_chunk, n_scenarios))
+        set_fields = [0] * n_masks
+        for mask in range(1, n_masks):
+            set_fields[mask] = (
+                set_fields[lattice.prev[mask]] + fields[lattice.bit[mask]]
+            )
+        keys = [
+            set_fields[s] * n_types + t
+            for s, t in zip(lattice.sets, lattice.types.tolist(), strict=True)
         ]
-        prev, bit = _mask_recursion(n_masks)
-        n_rows = rows_without[0].shape[0]
+        values = [entries.get(key) for key in keys]
+        missing = [i for i, value in enumerate(values) if value is None]
+        # Missing entries keep the 0.0 their sweep accumulates onto.
         table = np.zeros((n_types, n_masks))
+        table[lattice.types, lattice.masks] = [
+            0.0 if value is None else value for value in values
+        ]
+        self._table = table
+        if not missing:
+            return 0
+        miss_types = lattice.types[missing]
+        miss_masks = lattice.masks[missing]
+        # Missing entries are type-major like the layout: type t owns the
+        # slice bounds[t]:bounds[t + 1] of miss_masks.
+        bounds = np.searchsorted(miss_types, np.arange(n_types + 1)).tolist()
+        swept = [t for t in range(n_types) if bounds[t] < bounds[t + 1]]
+        most_rows = max(bounds[t + 1] - bounds[t] for t in swept)
+        # The DP fills the missing entries' masks and every mask on their
+        # lowest-set-bit chains, in rising mask order — the recursion
+        # order of a full build, so each consumed row is bitwise the same.
+        chained: set[int] = set()
+        for mask in set(miss_masks.tolist()):
+            while mask and mask not in chained:
+                chained.add(mask)
+                mask = lattice.prev[mask]
+        dp_masks = sorted(chained)
         # Working buffers are allocated once per distinct chunk width (at
         # most two: the full width and the final remainder) instead of
         # fresh temporaries per mask and per type — the allocation churn
-        # dominated the numpy path at T=8.  Exact-width buffers keep the
-        # closing reduction on contiguous rows, i.e. on the same numpy
-        # pairwise path as before.
+        # dominated the numpy path at T=8.  Each type writes its rows to
+        # a contiguous prefix of the work buffer, so the closing
+        # reduction runs on contiguous rows, i.e. on the same numpy
+        # pairwise path whatever the number of rows.
         consumed_bufs: dict[int, np.ndarray] = {}
         work_bufs: dict[int, np.ndarray] = {}
         # Chunking the scenario axis bounds the DP working set; the
@@ -212,11 +404,14 @@ class PalTable:
             work = work_bufs.get(width)
             if work is None:
                 work = work_bufs.setdefault(
-                    width, np.empty((n_rows, width))
+                    width, np.empty((most_rows, width))
                 )
-            kernels.dp_consumed(contrib, prev, bit, consumed)
-            for t in range(n_types):
-                rows = rows_without[t]
+            kernels.dp_consumed(
+                contrib, lattice.prev, lattice.bit, consumed, dp_masks
+            )
+            for t in swept:
+                rows = miss_masks[bounds[t]:bounds[t + 1]]
+                out = work[: rows.shape[0]]
                 kernels.type_products(
                     consumed,
                     rows,
@@ -226,10 +421,16 @@ class PalTable:
                     np.ascontiguousarray(p.zsafe[chunk, t]),
                     weights,
                     float(p.budget),
-                    work,
+                    out,
                 )
-                table[t, rows] += work.sum(axis=-1)
-        self._table = table
+                table[t, rows] += out.sum(axis=-1)
+        # Only complete entries enter the store: a build that raises in
+        # a chunk above leaves no partial sum behind.
+        computed = table[miss_types, miss_masks].tolist()
+        entries.update(
+            zip([keys[i] for i in missing], computed, strict=True)
+        )
+        return len(missing)
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` assembled by table lookup.
@@ -243,6 +444,8 @@ class PalTable:
         for t in ordering:
             if not 0 <= t < n_types:
                 raise ValueError(f"type index {t} out of range")
+            if mask >> t & 1:
+                raise ValueError(f"type {t} is already placed")
             pal[t] = self._table[t, mask]
             mask |= 1 << t
         return pal
@@ -310,6 +513,10 @@ class LazyPalTable:
       once (:meth:`extension_values`) — exactly the greedy append step's
       need — with per-``(t, mask)`` scalar fills for stray lookups.
 
+    Both read the :class:`PalEntryStore` first and sweep only the
+    entries it lacks, writing them back; ``entries_computed`` and
+    ``entries_reused`` count the two outcomes over the table's life.
+
     Every elementwise operation and the closing pairwise expectation
     reduction mirror :meth:`PalTable._build` entry for entry, so lazy
     and eager tables agree bitwise; only the set of *computed* entries
@@ -320,7 +527,16 @@ class LazyPalTable:
     actually visited.
     """
 
-    __slots__ = ("_pricer", "_consumed", "_rows", "_entries")
+    __slots__ = (
+        "_pricer",
+        "_shared",
+        "_fields",
+        "_consumed",
+        "_rows",
+        "_entries",
+        "entries_computed",
+        "entries_reused",
+    )
 
     def __init__(
         self,
@@ -333,24 +549,44 @@ class LazyPalTable:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
         )
-        self._init_caches()
+        self._init_caches(None)
 
     @classmethod
-    def from_pricer(cls, pricer: OrderingPricer) -> "LazyPalTable":
-        """Build from an already-validated :class:`OrderingPricer`."""
+    def from_pricer(
+        cls,
+        pricer: OrderingPricer,
+        *,
+        store: PalEntryStore | None = None,
+    ) -> "LazyPalTable":
+        """Build from an already-validated :class:`OrderingPricer`,
+        reading and filling ``store`` when given."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._init_caches()
+        table._init_caches(store)
         return table
 
-    def _init_caches(self) -> None:
+    def _init_caches(self, store: PalEntryStore | None) -> None:
+        if store is None:
+            store = PalEntryStore()
+        p = self._pricer
+        # One sweep covers every scenario: the chunking of a single-chunk
+        # eager build, whose entries this table may share.
+        self._shared, self._fields = store._bind(p, p.counts.shape[0])
         self._consumed: dict[int, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._entries: dict[tuple[int, int], float] = {}
+        self.entries_computed = 0
+        self.entries_reused = 0
 
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
+
+    def _key(self, t: int, mask_fields: int) -> int:
+        """The store key of ``table[t, mask]``, given ``mask_fields =
+        _set_fields(self._fields, mask)``."""
+        fields = self._fields
+        return (mask_fields + fields[t]) * len(fields) + t
 
     def _consumed_for(self, mask: int) -> np.ndarray:
         """Per-scenario budget consumed by the types in ``mask``.
@@ -389,24 +625,42 @@ class LazyPalTable:
         row = self._rows.get(mask)
         if row is None:
             p = self._pricer
-            free = [
-                t for t in range(p.n_types) if not (mask >> t) & 1
-            ]
-            free_idx = np.asarray(free, dtype=np.int64)
-            consumed = self._consumed_for(mask)
-            products = np.empty((len(free), consumed.shape[0]))
-            kernels.extension_products(
-                consumed,
-                np.ascontiguousarray(p.costs[free_idx]),
-                np.ascontiguousarray(p.quota[free_idx]),
-                np.ascontiguousarray(p.effective[:, free_idx].T),
-                np.ascontiguousarray(p.zsafe[:, free_idx].T),
-                p.weights,
-                float(p.budget),
-                products,
-            )
             row = np.zeros(p.n_types)
-            row[free] = products.sum(axis=-1)
+            mask_fields = _set_fields(self._fields, mask)
+            missing = []
+            keys = []
+            for t in range(p.n_types):
+                if mask >> t & 1:
+                    continue
+                key = self._key(t, mask_fields)
+                value = self._shared.get(key)
+                if value is None:
+                    missing.append(t)
+                    keys.append(key)
+                else:
+                    row[t] = value
+                    self.entries_reused += 1
+            if missing:
+                idx = np.asarray(missing, dtype=np.int64)
+                consumed = self._consumed_for(mask)
+                products = np.empty((len(missing), consumed.shape[0]))
+                kernels.extension_products(
+                    consumed,
+                    np.ascontiguousarray(p.costs[idx]),
+                    np.ascontiguousarray(p.quota[idx]),
+                    np.ascontiguousarray(p.effective[:, idx].T),
+                    np.ascontiguousarray(p.zsafe[:, idx].T),
+                    p.weights,
+                    float(p.budget),
+                    products,
+                )
+                # Accumulated onto the zeroed row, as the eager build
+                # accumulates onto its zeroed table.
+                row[idx] += products.sum(axis=-1)
+                self._shared.update(
+                    zip(keys, row[idx].tolist(), strict=True)
+                )
+                self.entries_computed += len(missing)
             self._rows[mask] = row
         return row
 
@@ -424,6 +678,8 @@ class LazyPalTable:
             t = int(t)
             if not 0 <= t < n_types:
                 raise ValueError(f"type index {t} out of range")
+            if mask >> t & 1:
+                raise ValueError(f"type {t} is already placed")
             row = self._rows.get(mask)
             if row is not None:
                 pal[t] = row[t]
@@ -436,14 +692,22 @@ class LazyPalTable:
         """One scalar table entry (memoized) — no full-row sweep."""
         cached = self._entries.get((t, mask))
         if cached is None:
-            p = self._pricer
-            consumed = self._consumed_for(mask)
-            capacity = np.floor((p.budget - consumed) / p.costs[t])
-            np.maximum(capacity, 0.0, out=capacity)
-            audited = np.minimum(
-                np.minimum(capacity, p.quota[t]), p.effective[:, t]
-            )
-            ratio = audited / p.zsafe[:, t]
-            cached = float((ratio * p.weights).sum())
+            key = self._key(t, _set_fields(self._fields, mask))
+            cached = self._shared.get(key)
+            if cached is None:
+                p = self._pricer
+                consumed = self._consumed_for(mask)
+                capacity = np.floor((p.budget - consumed) / p.costs[t])
+                np.maximum(capacity, 0.0, out=capacity)
+                audited = np.minimum(
+                    np.minimum(capacity, p.quota[t]), p.effective[:, t]
+                )
+                ratio = audited / p.zsafe[:, t]
+                # Accumulated onto 0.0 like every other entry.
+                cached = 0.0 + float((ratio * p.weights).sum())
+                self._shared[key] = cached
+                self.entries_computed += 1
+            else:
+                self.entries_reused += 1
             self._entries[(t, mask)] = cached
         return cached

@@ -39,6 +39,12 @@ Three structure-exploiting fast paths ride under the algorithm unchanged:
   EMR's 50x50 attack grid one dedupe takes tens of milliseconds, more
   than the rest of a typical probe, so paying it per probe would
   dominate an ISHM run.
+* **One ``Pal`` entry store per solver**: every probe's lazy table reads
+  the solver's :class:`~repro.core.pal_table.PalEntryStore` before
+  sweeping and writes back what it computes, so a probe prices only the
+  ``(type, predecessor set)`` entries no earlier probe priced.  The
+  engine's fixed-solve cache builds a fresh CGGS solver per ISHM run, so
+  the store lives for one run and is touched by that run alone.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import numpy as np
 
 from .. import obs
 from ..core.game import AuditGame
+from ..core.pal_table import PalEntryStore
 from ..core.policy import Ordering, random_ordering
 from ..distributions.joint import ScenarioSet
 from .master import (
@@ -103,8 +110,10 @@ class CGGSSolver:
         self._pool: dict[tuple[int, ...], Ordering] = {}
         self.warm_start = bool(warm_start)
         # The deduplicated LP rows depend only on the game: computed
-        # once here and shared by every probe's context.
+        # once here and shared by every probe's context, as is the Pal
+        # entry store.
         self._rep_rows = PolicyContext.representative_rows_for(game)
+        self._pal_store = PalEntryStore()
 
     # ------------------------------------------------------------------
 
@@ -116,6 +125,7 @@ class CGGSSolver:
             thresholds,
             lazy=True,
             representative_rows=self._rep_rows,
+            pal_store=self._pal_store,
         )
         master = MasterProblem(
             context, backend=self.backend, warm_start=self.warm_start
@@ -154,6 +164,15 @@ class CGGSSolver:
         obs.counter("repro_cggs_columns_generated_total", columns_generated)
         obs.counter(
             "repro_cggs_converged_total", 1.0 if converged else 0.0
+        )
+        table = context.pal_table()
+        obs.counter(
+            "repro_pal_entries_total",
+            table.entries_computed,
+            source="computed",
+        )
+        obs.counter(
+            "repro_pal_entries_total", table.entries_reused, source="reused"
         )
         return CGGSResult(
             policy=fixed.policy.pruned(),

@@ -48,7 +48,7 @@ from .. import faults, obs
 from ..core.attack_map import AttackTypeMap
 from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
-from ..core.pal_table import LazyPalTable, PalTable
+from ..core.pal_table import LazyPalTable, PalEntryStore, PalTable
 from ..core.objective import best_responses
 from ..core.payoffs import PayoffModel
 from ..core.policy import AuditPolicy, Ordering
@@ -157,6 +157,13 @@ class PolicyContext:
     :meth:`representative_rows_for` once and pass it here: the dedupe
     walks the full ``|E| x |V|`` attack grid, and on the paper's EMR game
     it cost more than the rest of a CGGS probe.
+
+    ``pal_store`` is handed to the subset table, which then computes only
+    the entries no earlier table of the same store computed (see
+    :class:`~repro.core.pal_table.PalEntryStore`); the solvers keep one
+    per instance.  A store binds to one game's scenario set, costs,
+    budget and zero-count rule, and a context of another game raises
+    ``ValueError`` when it builds its table.
     """
 
     def __init__(
@@ -167,6 +174,7 @@ class PolicyContext:
         *,
         lazy: bool = False,
         representative_rows: tuple[np.ndarray, np.ndarray] | None = None,
+        pal_store: PalEntryStore | None = None,
     ) -> None:
         self.game = game
         self.scenarios = scenarios
@@ -184,6 +192,7 @@ class PolicyContext:
             else self.representative_rows_for(game)
         )
         self._lazy = lazy
+        self._pal_store = pal_store
         self._table: PalTable | LazyPalTable | None = None
 
     @classmethod
@@ -242,7 +251,7 @@ class PolicyContext:
                 self.game.zero_count_rule,
             )
             factory = LazyPalTable if self._lazy else PalTable
-            self._table = factory.from_pricer(pricer)
+            self._table = factory.from_pricer(pricer, store=self._pal_store)
         return self._table
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
@@ -297,17 +306,23 @@ class PolicyContext:
         prefix = tuple(int(t) for t in prefix)
         cands = [int(t) for t in candidates]
         n_types = self.game.n_types
+        mask = 0
+        for t in prefix:
+            if not 0 <= t < n_types:
+                raise ValueError(f"type index {t} out of range")
+            if mask >> t & 1:
+                raise ValueError(f"type {t} is already placed")
+            mask |= 1 << t
         for t in cands:
             if not 0 <= t < n_types:
                 raise ValueError(f"type index {t} out of range")
+            if mask >> t & 1:
+                raise ValueError(f"type {t} is already placed")
         missing = [
             t for t in cands if prefix + (t,) not in self._pal_cache
         ]
         if missing:
             base = self.pal(prefix)
-            mask = 0
-            for t in prefix:
-                mask |= 1 << t
             values = self.pal_table().extension_values(mask, missing)
             for t, value in zip(missing, values, strict=True):
                 row = base.copy()

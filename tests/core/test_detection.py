@@ -5,12 +5,15 @@ import pytest
 
 from repro.core import (
     Ordering,
+    OrderingPricer,
     audited_counts,
     pal_for_ordering,
     pal_for_orderings,
     remaining_budget,
 )
+from repro.datasets import syn_a
 from repro.distributions import ScenarioSet
+from repro.engine import AuditEngine
 
 
 def single_scenario(counts):
@@ -214,3 +217,36 @@ class TestPalForOrderings:
                 [], np.zeros(4), syn_a_scenarios,
                 syn_a_game.costs, 1.0,
             )
+
+
+class TestNaNInputs:
+    """NaN fails every comparison, so each check must be written to
+    reject it rather than to catch a negative value."""
+
+    SCENARIOS = ScenarioSet(
+        counts=np.array([[1, 2], [3, 0]]), weights=np.array([0.5, 0.5])
+    )
+
+    @pytest.mark.parametrize(
+        "thresholds, costs, budget, match",
+        [
+            ([np.nan, 1.0], [1.0, 1.0], 3.0, "thresholds"),
+            ([1.0, 1.0], [1.0, np.nan], 3.0, "costs"),
+            ([1.0, 1.0], [1.0, 1.0], np.nan, "budget"),
+        ],
+        ids=["thresholds", "costs", "budget"],
+    )
+    def test_pricer_rejects_nan(self, thresholds, costs, budget, match):
+        with pytest.raises(ValueError, match=match):
+            OrderingPricer(
+                np.array(thresholds), self.SCENARIOS, np.array(costs), budget
+            )
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [("enumeration", "thresholds"), ("ishm", "initial_thresholds")],
+    )
+    def test_engine_rejects_nan_thresholds(self, method, option):
+        engine = AuditEngine(syn_a(budget=10))
+        with pytest.raises(ValueError, match="NaN"):
+            engine.solve(method, **{option: (np.nan, 2.0, 2.0, 2.0)})

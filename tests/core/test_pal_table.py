@@ -19,6 +19,7 @@ from repro.distributions import (
     JointCountModel,
     ScenarioSet,
 )
+from repro.solvers.master import PolicyContext
 
 TOL = 1e-9
 
@@ -214,6 +215,39 @@ class TestValidation:
         table = PalTable(b, sc, costs, budget)
         with pytest.raises(ValueError, match="out of range"):
             table.pal((0, 5))
+
+    @pytest.mark.parametrize(
+        "price",
+        [
+            lambda w, c, o: PalTable(*w).pal(o),
+            lambda w, c, o: LazyPalTable(*w).pal(o),
+            lambda w, c, o: OrderingPricer(*w).pal(o),
+            lambda w, c, o: pal_for_orderings([o], *w),
+            lambda w, c, o: pal_for_orderings(all_orderings(4)[:9] + [o], *w),
+            lambda w, c, o: c.extension_utilities(o, [2]),
+            lambda w, c, o: c.extension_utilities(o[:1], [o[0]]),
+        ],
+        ids=[
+            "eager",
+            "lazy",
+            "walk",
+            "pal_for_orderings-walk",
+            "pal_for_orderings-table",
+            "extension-prefix",
+            "extension-candidate",
+        ],
+    )
+    def test_rejects_a_type_placed_twice(
+        self, syn_a_game, syn_a_scenarios, price
+    ):
+        # Raw sequences bypass Ordering's duplicate check.  Unchecked,
+        # (0, 0, 1) priced Pal[0] as 0.5532 on the walk and the lazy
+        # table but 0.0 on the eager table (its unused t-in-S half).
+        b = np.array([3.0, 3.0, 2.0, 4.0])
+        world = (b, syn_a_scenarios, syn_a_game.costs, syn_a_game.budget)
+        context = PolicyContext(syn_a_game, syn_a_scenarios, b)
+        with pytest.raises(ValueError, match="already placed"):
+            price(world, context, (0, 0, 1))
 
 
 class TestOrderingPricer:

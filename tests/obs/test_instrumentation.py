@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.datasets import syn_a
 from repro.engine import AuditEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import SPAN_HISTOGRAM
@@ -55,6 +56,30 @@ def test_cggs_counters(tiny_game, registry):
         engine.solve("ishm", step_size=0.4, inner="cggs")
     assert registry.counter_total("repro_cggs_solves_total") > 0
     assert registry.counter_total("repro_pal_table_builds_total") >= 0
+
+
+def test_pal_entry_counters_pin_syn_a_ishm(registry):
+    """One eager build emits one computed and one reused count: on a
+    fresh syn_a(10) ISHM at step 0.1, 110 tables of 32 entries each."""
+    AuditEngine(syn_a(budget=10)).solve("ishm", step_size=0.1)
+    assert registry.counter_total("repro_pal_table_builds_total") == 110
+    assert registry.get_counter(
+        "repro_pal_entries_total", source="computed"
+    ) == 1528
+    assert registry.get_counter(
+        "repro_pal_entries_total", source="reused"
+    ) == 1992
+
+
+def test_cggs_emits_lazy_entry_counts_per_probe(tiny_game, registry):
+    with AuditEngine(tiny_game) as engine:
+        engine.solve("ishm", step_size=0.4, inner="cggs")
+    computed = registry.get_counter(
+        "repro_pal_entries_total", source="computed"
+    )
+    reused = registry.get_counter("repro_pal_entries_total", source="reused")
+    assert computed > 0 and reused > 0
+    assert registry.counter_total("repro_pal_table_builds_total") == 0
 
 
 def test_results_identical_with_telemetry_on_and_off(tiny_game):
