@@ -19,9 +19,7 @@ Quickstart::
     print(result.policy.describe(engine.game.alert_types.names))
 
 Every solver and baseline lives in the :mod:`repro.engine` registry and
-returns the same :class:`~repro.engine.SolveResult`; the old
-free-function entry points (``iterative_shrink``, ``solve_optimal``)
-are deprecated shims over that registry.
+returns the same :class:`~repro.engine.SolveResult`.
 """
 
 from . import (
@@ -40,9 +38,8 @@ from . import (
 )
 from .core import AuditGame, AuditPolicy, Ordering
 from .engine import AuditEngine, SolveResult
-from .solvers import iterative_shrink, solve_optimal
 
-__version__ = "1.5.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "AuditEngine",
@@ -58,11 +55,9 @@ __all__ = [
     "distributions",
     "engine",
     "extensions",
-    "iterative_shrink",
     "obs",
     "serve",
     "sim",
-    "solve_optimal",
     "solvers",
     "tdmt",
 ]

@@ -33,8 +33,8 @@ re-estimation, warm-started re-solving and a pluggable adversary.
 **Serve mode** (``--serve``) starts the long-running
 :mod:`repro.serve` audit-policy service: it solves and publishes the
 initial policy, then answers ``/score`` and ``/alerts`` over HTTP while
-a background worker re-solves on distribution drift.  Uses
-fastapi/uvicorn when installed, the stdlib asyncio server otherwise::
+a background worker re-solves on distribution drift, on the stdlib
+asyncio server::
 
     python -m repro.run_experiments --serve --dataset syn_a --budget 10 \
         --port 8331 --serve-config drift_threshold=0.2 \
@@ -369,13 +369,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     """Serve mode: the long-running :mod:`repro.serve` policy service."""
     import asyncio
 
-    from ..serve import (
-        AuditService,
-        ServeConfig,
-        StdlibApp,
-        have_fastapi,
-        make_fastapi_app,
-    )
+    from ..serve import AuditService, ServeConfig, StdlibApp
 
     game = DATASETS[args.dataset](budget=args.budget)
     pairs = _parse_config_pairs(args.serve_config, flag="--serve-config")
@@ -397,15 +391,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"--serve-config error: {exc}") from exc
 
-    def uvicorn_available() -> bool:
-        if not have_fastapi():
-            return False
-        try:
-            import uvicorn  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
     async def serve_forever() -> None:
         async with service:
             active = service.active()
@@ -414,29 +399,8 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"(objective={active.result.objective:.4f}, "
                 f"fingerprint={active.fingerprint})"
             )
-            if uvicorn_available():
-                import uvicorn
-
-                print(
-                    f"serving on http://{args.host}:{args.port} "
-                    "(fastapi/uvicorn backend)"
-                )
-                server = uvicorn.Server(
-                    uvicorn.Config(
-                        make_fastapi_app(service),
-                        host=args.host,
-                        port=args.port,
-                        log_level="warning",
-                    )
-                )
-                await server.serve()
-            else:
-                print(
-                    f"serving on http://{args.host}:{args.port} "
-                    "(stdlib backend; pip install -e '.[serve]' "
-                    "for fastapi/uvicorn)"
-                )
-                await StdlibApp(service).run(args.host, args.port)
+            print(f"serving on http://{args.host}:{args.port}")
+            await StdlibApp(service).run(args.host, args.port)
 
     print(
         f"dataset={args.dataset} budget={args.budget:g} "
@@ -532,9 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--serve", action="store_true",
         help=(
-            "run the long-running audit-policy service instead of a "
-            "one-shot solve (fastapi/uvicorn when installed, stdlib "
-            "asyncio otherwise)"
+            "run the long-running audit-policy service (stdlib asyncio "
+            "HTTP server) instead of a one-shot solve"
         ),
     )
     parser.add_argument(

@@ -37,9 +37,10 @@ class AlertType:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("alert type name must not be empty")
-        if self.audit_cost <= 0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not self.audit_cost > 0:
             raise ValueError(
-                f"audit cost of {self.name!r} must be positive, "
+                f"audit cost of {self.name!r} must be positive, not NaN, "
                 f"got {self.audit_cost}"
             )
 

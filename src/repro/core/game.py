@@ -79,8 +79,11 @@ class AuditGame:
                 "payoff and attack-map victim counts disagree: "
                 f"{self.payoffs.n_victims} vs {self.attack_map.n_victims}"
             )
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not self.budget >= 0:
+            raise ValueError(
+                f"budget must be >= 0, not NaN, got {self.budget}"
+            )
         adversary_names = tuple(self.adversary_names) or tuple(
             f"e{i + 1}" for i in range(self.attack_map.n_adversaries)
         )

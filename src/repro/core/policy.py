@@ -92,8 +92,12 @@ def validate_thresholds(thresholds, n_types: int) -> np.ndarray:
         raise ValueError(
             f"thresholds must have shape ({n_types},), got {b.shape}"
         )
-    if b.min() < 0:
-        raise ValueError(f"thresholds must be non-negative, got {b}")
+    # Written so that NaN fails: min() propagates NaN, and every
+    # comparison with NaN is False.
+    if not b.min() >= 0:
+        raise ValueError(
+            f"thresholds must be non-negative, not NaN, got {b}"
+        )
     return b.copy()
 
 

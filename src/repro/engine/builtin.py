@@ -200,8 +200,6 @@ def _solve_enumeration(
         extra["max_orderings"] = config.max_orderings
     if not config.compress:
         extra["compress"] = config.compress
-    if config.prune:
-        extra["prune"] = config.prune
     solution = cache.solver(
         method="enumeration",
         backend=config.backend,
@@ -244,7 +242,6 @@ def _solve_cggs(
         max_columns=config.max_columns,
         reduced_cost_tol=config.reduced_cost_tol,
         warm_start_pool=config.warm_start_pool,
-        warm_start=config.warm_start,
     )(thresholds)
     return finalize_result(
         game,

@@ -207,29 +207,24 @@ class EnumerationConfig(_FixedThresholdConfig):
     """Exact master LP over all ``|T|!`` ordering columns.
 
     ``compress`` (default on) merges duplicate scenario rows before
-    pricing.  ``prune=true`` additionally drops dominated rows/columns
-    from each master LP before solving (lossless; off by default so
-    cached solutions stay bitwise comparable).
+    pricing.
     """
 
     max_orderings: int = 5040
     compress: bool = True
-    prune: bool = False
 
 
 @dataclass(frozen=True)
 class CGGSConfig(_FixedThresholdConfig):
     """Algorithm 1 (Column Generation Greedy Search) options.
 
-    ``warm_start`` re-enters master re-solves from the previous optimal
-    basis on warm-capable LP backends (``backend=simplex``); the
-    scipy/HiGHS backend always cold-solves.
+    ``warm_start_pool`` bounds the columns carried from one solve to the
+    next as starting columns; every master LP is solved cold.
     """
 
     max_columns: int = 200
     reduced_cost_tol: float = 1e-7
     warm_start_pool: int = 48
-    warm_start: bool = True
 
 
 @dataclass(frozen=True)

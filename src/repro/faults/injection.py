@@ -77,11 +77,6 @@ KNOWN_POINTS: tuple[tuple[str, str, str], ...] = (
         "every HiGHS LP call (failure falls back to the simplex backend)",
     ),
     (
-        "solvers.master.warm",
-        "repro.solvers.master",
-        "warm-started master re-solves (failure falls back to cold)",
-    ),
-    (
         "sim.solve",
         "repro.sim.simulator",
         "per-period simulator solve (failure replays last policy)",

@@ -66,7 +66,7 @@ RUN_TABLE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("seed", "rng seed of this repetition"),
     ("objective", "achieved objective value (mu_hat)"),
     ("lp_calls", "master LP solve count"),
-    ("warm_solves", "LP solves warm-started from a reused basis"),
+    ("warm_solves", "always 0: every LP solve is cold"),
     ("solve_seconds", "wall-clock solve seconds (perf_counter)"),
     ("detection_rate", "sim: attacks detected / attacks mounted"),
     ("deterrence_rate", "sim: periods with no attack / periods"),

@@ -19,11 +19,10 @@ Layers:
   ingestion into :mod:`repro.sim` estimators, drift detection, and a
   background re-solve worker over warm
   :class:`~repro.engine.AuditEngine` instances;
-* :mod:`repro.serve.http` — one route contract, two apps: FastAPI when
-  installed (``pip install -e '.[serve]'``), a stdlib asyncio fallback
-  always.
+* :mod:`repro.serve.http` — one route contract, served by a stdlib
+  asyncio app.
 
-Quickstart (no third-party web framework needed)::
+Quickstart::
 
     import asyncio
     from repro.datasets import syn_a
@@ -40,7 +39,7 @@ Quickstart (no third-party web framework needed)::
     asyncio.run(main())
 """
 
-from .http import ROUTES, Route, StdlibApp, dispatch, have_fastapi, make_fastapi_app
+from .http import ROUTES, Route, StdlibApp, dispatch
 from .scoring import PolicyScorer, ScoreBatch
 from .service import AuditService, ServeConfig
 from .store import (
@@ -62,7 +61,5 @@ __all__ = [
     "ServeConfig",
     "StdlibApp",
     "dispatch",
-    "have_fastapi",
-    "make_fastapi_app",
     "model_fingerprint",
 ]

@@ -1,21 +1,11 @@
-"""HTTP layer: one route contract, two interchangeable apps.
+"""HTTP layer: one route contract, served by one stdlib app.
 
 The contract is a table of :class:`Route` records — method, path
 pattern, handler — where every handler is an async function over the
-framework-agnostic :class:`~repro.serve.service.AuditService`.  Two
-adapters expose it:
-
-* :func:`make_fastapi_app` — a FastAPI application (when ``fastapi`` is
-  installed; ``pip install -e '.[serve]'``), for production serving
-  under uvicorn;
-* :class:`StdlibApp` — a dependency-free fallback on ``asyncio`` stream
-  servers with minimal HTTP/1.1 parsing, mirroring the repo's
-  scipy/HiGHS ↔ pure-simplex backend split: offline environments run
-  the same routes with the same payloads.
-
-Both adapters dispatch through :func:`dispatch`, so the contract cannot
-drift between them — the route-contract test suite drives the same
-requests through each.
+framework-agnostic :class:`~repro.serve.service.AuditService`.
+:func:`dispatch` routes one request through that table, and
+:class:`StdlibApp` serves it on ``asyncio`` stream servers with minimal
+HTTP/1.1 parsing and no third-party dependency.
 
 Routes
 ------
@@ -48,8 +38,6 @@ __all__ = [
     "ROUTES",
     "dispatch",
     "StdlibApp",
-    "make_fastapi_app",
-    "have_fastapi",
 ]
 
 # Handlers return ``(status, payload)``; a ``dict`` payload is rendered
@@ -67,7 +55,6 @@ class Route:
     method: str
     pattern: str
     handler: Handler
-    summary: str
 
     @property
     def segments(self) -> tuple[str, ...]:
@@ -186,20 +173,14 @@ async def _resolve(
 
 
 ROUTES: tuple[Route, ...] = (
-    Route("GET", "/healthz", _healthz, "liveness probe"),
-    Route("GET", "/status", _status, "counters, drift, worker state"),
-    Route(
-        "GET", "/metrics", _metrics,
-        "Prometheus text exposition of the service registry",
-    ),
-    Route("GET", "/policy", _policy, "current published policy"),
-    Route(
-        "GET", "/policy/{version}", _policy_version,
-        "stale-version policy read",
-    ),
-    Route("POST", "/score", _score, "score alert rows vs the policy"),
-    Route("POST", "/alerts", _alerts, "ingest observed alert counts"),
-    Route("POST", "/resolve", _resolve, "force a re-solve and publish"),
+    Route("GET", "/healthz", _healthz),
+    Route("GET", "/status", _status),
+    Route("GET", "/metrics", _metrics),
+    Route("GET", "/policy", _policy),
+    Route("GET", "/policy/{version}", _policy_version),
+    Route("POST", "/score", _score),
+    Route("POST", "/alerts", _alerts),
+    Route("POST", "/resolve", _resolve),
 )
 
 
@@ -244,7 +225,7 @@ async def dispatch(
 
 
 # ----------------------------------------------------------------------
-# Stdlib fallback app (no third-party dependencies)
+# Stdlib app (no third-party dependencies)
 # ----------------------------------------------------------------------
 
 
@@ -356,80 +337,3 @@ class StdlibApp:
                 return 400, {"error": f"invalid JSON body: {exc}"}
         return await dispatch(self.service, method, path, body)
 
-
-# ----------------------------------------------------------------------
-# FastAPI adapter (optional dependency)
-# ----------------------------------------------------------------------
-
-
-def have_fastapi() -> bool:
-    """True when the optional ``fastapi`` dependency is importable."""
-    try:
-        import fastapi  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def make_fastapi_app(service: AuditService):
-    """A FastAPI application over the same route contract.
-
-    Every route funnels through :func:`dispatch`, so payloads and
-    status codes are identical to :class:`StdlibApp` by construction.
-    Raises ``ImportError`` with an install hint when FastAPI is absent
-    — use :class:`StdlibApp` then.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse, PlainTextResponse
-    except ImportError as exc:  # pragma: no cover - env without fastapi
-        raise ImportError(
-            "fastapi is not installed; pip install -e '.[serve]' or "
-            "use repro.serve.StdlibApp"
-        ) from exc
-
-    app = FastAPI(
-        title="repro.serve audit-policy service",
-        description=(
-            "Streaming alert scoring and drift-triggered re-solving "
-            "over the ICDE'18 audit game engine."
-        ),
-    )
-
-    def bind(route: Route):
-        async def endpoint(request: Request):
-            body: object = None
-            if route.method == "POST":
-                raw = await request.body()
-                if raw:
-                    try:
-                        body = json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        return JSONResponse(
-                            {"error": f"invalid JSON body: {exc}"},
-                            status_code=400,
-                        )
-            status, payload = await dispatch(
-                service,
-                route.method,
-                request.url.path,
-                body,
-            )
-            if isinstance(payload, str):
-                return PlainTextResponse(
-                    payload,
-                    status_code=status,
-                    media_type=obs.CONTENT_TYPE,
-                )
-            return JSONResponse(payload, status_code=status)
-
-        app.add_api_route(
-            route.pattern,
-            endpoint,
-            methods=[route.method],
-            summary=route.summary,
-        )
-
-    for route in ROUTES:
-        bind(route)
-    return app

@@ -13,17 +13,11 @@ from .best_response import ResponseReport, deterrence_budget, response_report
 from .bruteforce import (
     BruteForceResult,
     run_solve_optimal,
-    solve_optimal,
     threshold_grid_size,
 )
 from .cggs import CGGSResult, CGGSSolver
 from .enumeration import EnumerationSolver
-from .ishm import (
-    ISHMResult,
-    iterative_shrink,
-    make_fixed_solver,
-    run_iterative_shrink,
-)
+from .ishm import ISHMResult, make_fixed_solver, run_iterative_shrink
 from .master import (
     FixedThresholdSolution,
     MasterProblem,
@@ -43,11 +37,9 @@ __all__ = [
     "PolicyContext",
     "ResponseReport",
     "deterrence_budget",
-    "iterative_shrink",
     "make_fixed_solver",
     "response_report",
     "run_iterative_shrink",
     "run_solve_optimal",
-    "solve_optimal",
     "threshold_grid_size",
 ]

@@ -91,7 +91,7 @@ def deterrence_budget(
     """Smallest budget in ``budgets`` whose solved loss is <= target.
 
     ``solve`` maps a game (with its budget set) to ``(policy, loss)`` —
-    typically a closure around :func:`repro.solvers.ishm.iterative_shrink`.
+    typically a closure around ``AuditEngine(game).solve("ishm", ...)``.
     Returns None when no budget in the sweep reaches the target.
     """
     for budget in sorted(budgets):

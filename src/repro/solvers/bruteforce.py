@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +26,6 @@ from .master import FixedThresholdSolution
 __all__ = [
     "BruteForceResult",
     "run_solve_optimal",
-    "solve_optimal",
     "threshold_grid_size",
 ]
 
@@ -194,36 +192,3 @@ def run_solve_optimal(
         n_vectors_evaluated=evaluated,
         n_vectors_total=total,
     )
-
-
-def solve_optimal(
-    game: AuditGame,
-    scenarios: ScenarioSet,
-    backend: str = "scipy",
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-    enforce_budget_floor: bool = True,
-    tie_break: str = "smallest",
-) -> BruteForceResult:
-    """Deprecated free-function entry point for the brute-force optimum.
-
-    Delegates to the ``"bruteforce"`` solver of :mod:`repro.engine`'s
-    registry and returns the native :class:`BruteForceResult`.  Use
-    ``AuditEngine(game).solve("bruteforce")`` (or ``repro.engine.solve``)
-    instead for the unified :class:`~repro.engine.SolveResult` contract
-    and cross-call solution caching.
-    """
-    warnings.warn(
-        "solve_optimal() is deprecated; use "
-        "repro.engine.AuditEngine(game).solve('bruteforce') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import BruteForceConfig, solve as engine_solve
-
-    config = BruteForceConfig(
-        backend=backend,
-        max_vectors=max_vectors,
-        enforce_budget_floor=enforce_budget_floor,
-        tie_break=tie_break,
-    )
-    return engine_solve(game, scenarios, "bruteforce", config).raw

@@ -27,11 +27,6 @@ Three structure-exploiting fast paths ride under the algorithm unchanged:
   ``(E, V)`` utility matrix is ever materialized.  Games whose payoff
   model or attack map overrides the utility or detection kernels keep
   the generic per-candidate oracle on the same table.
-* **Warm-started master re-solves**: with the ``"simplex"`` backend, the
-  restricted master re-enters from the previous optimal basis after each
-  added column instead of cold two-phase solving (see
-  :class:`~repro.solvers.master.MasterProblem`).  The default scipy/HiGHS
-  backend has no basis interface and keeps cold-solving.
 * **Row dedupe once per solver**: the eq. 5 representative rows
   (:meth:`~repro.solvers.master.PolicyContext.representative_rows_for`)
   depend only on the game, so the solver computes them at construction
@@ -80,8 +75,8 @@ class CGGSResult(FixedThresholdSolution):
 class CGGSSolver:
     """Algorithm 1: column generation with a greedy ordering oracle.
 
-    ``warm_start`` re-enters master re-solves from the previous basis on
-    warm-capable backends.
+    Each restricted master is one cold LP solve (see
+    :class:`~repro.solvers.master.MasterProblem`).
     """
 
     def __init__(
@@ -94,7 +89,6 @@ class CGGSSolver:
         reduced_cost_tol: float = 1e-7,
         seed_orderings: tuple[Ordering, ...] = (),
         warm_start_pool: int = 48,
-        warm_start: bool = True,
     ) -> None:
         self.game = game
         self.scenarios = scenarios
@@ -108,7 +102,6 @@ class CGGSSolver:
         # neighbouring vectors ISHM probes next.
         self.warm_start_pool = warm_start_pool
         self._pool: dict[tuple[int, ...], Ordering] = {}
-        self.warm_start = bool(warm_start)
         # The deduplicated LP rows depend only on the game: computed
         # once here and shared by every probe's context, as is the Pal
         # entry store.
@@ -127,9 +120,7 @@ class CGGSSolver:
             representative_rows=self._rep_rows,
             pal_store=self._pal_store,
         )
-        master = MasterProblem(
-            context, backend=self.backend, warm_start=self.warm_start
-        )
+        master = MasterProblem(context, backend=self.backend)
         for ordering in self.seed_orderings:
             master.add_ordering(ordering)
         for ordering in self._pool.values():

@@ -133,12 +133,6 @@ class EnumerationSolver:
         Deduplicate identical scenario rows (weight-aggregating) once at
         construction.  Exactly-enumerated sets are duplicate-free and
         pass through untouched.
-    prune:
-        Drop dominated attack rows and ordering columns before each
-        master solve (lossless — see
-        :meth:`~repro.solvers.master.MasterProblem.solve`); off by
-        default so cached solutions stay bit-for-bit comparable with
-        earlier releases.
     """
 
     def __init__(
@@ -148,7 +142,6 @@ class EnumerationSolver:
         backend: str = "scipy",
         max_orderings: int = DEFAULT_MAX_ORDERINGS,
         compress: bool = True,
-        prune: bool = False,
     ) -> None:
         n_orderings = math.factorial(game.n_types)
         if n_orderings > max_orderings:
@@ -160,7 +153,6 @@ class EnumerationSolver:
         self.scenarios = scenarios.compressed() if compress else scenarios
         self.backend = backend
         self._orderings = all_orderings(game.n_types)
-        self.prune = bool(prune)
         # Shared across every solve of this instance: the deduplicated
         # LP rows depend only on the game, the skeleton additionally on
         # the (fixed) column count |T|!, and the Pal entries on the game
@@ -203,7 +195,7 @@ class EnumerationSolver:
         )
         for ordering in self._orderings:
             master.add_ordering(ordering)
-        fixed, _ = master.solve(prune=self.prune)
+        fixed, _ = master.solve()
         return FixedThresholdSolution(
             policy=fixed.policy.pruned(),
             objective=fixed.objective,

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,7 +61,6 @@ from .master import FixedThresholdSolution
 __all__ = [
     "ISHMResult",
     "ProbeScreen",
-    "iterative_shrink",
     "make_fixed_solver",
     "run_iterative_shrink",
 ]
@@ -394,49 +392,3 @@ def run_iterative_shrink(
         history=tuple(history),
         screened=screened,
     )
-
-
-def iterative_shrink(
-    game: AuditGame,
-    scenarios: ScenarioSet,
-    step_size: float,
-    solver: FixedSolver | None = None,
-    initial_thresholds: Sequence[float] | None = None,
-    improvement_tol: float = 1e-9,
-    max_probes: int | None = None,
-    quantize: str = "round",
-    quantum: float = 1.0,
-) -> ISHMResult:
-    """Deprecated free-function entry point for Algorithm 2.
-
-    Delegates to the ``"ishm"`` solver of :mod:`repro.engine`'s registry
-    and returns the native :class:`ISHMResult`.  Use
-    ``AuditEngine(game).solve("ishm", ISHMConfig(step_size=...))`` (or
-    ``repro.engine.solve``) instead; the engine additionally returns the
-    unified :class:`~repro.engine.SolveResult` and caches scenario sets
-    and fixed-threshold solutions across calls.
-    """
-    warnings.warn(
-        "iterative_shrink() is deprecated; use "
-        "repro.engine.AuditEngine(game).solve('ishm', ...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import ISHMConfig, solve as engine_solve
-
-    config = ISHMConfig(
-        step_size=step_size,
-        improvement_tol=improvement_tol,
-        max_probes=max_probes,
-        quantize=quantize,
-        quantum=quantum,
-        initial_thresholds=(
-            None
-            if initial_thresholds is None
-            else tuple(float(b) for b in np.asarray(initial_thresholds))
-        ),
-    )
-    result = engine_solve(
-        game, scenarios, "ishm", config, fixed_solver=solver
-    )
-    return result.raw

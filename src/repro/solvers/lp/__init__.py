@@ -1,20 +1,12 @@
 """LP substrate: problem containers, revised simplex, HiGHS adapter."""
 
-from .backend import (
-    DEFAULT_BACKEND,
-    available_backends,
-    solve_lp,
-    supports_warm_start,
-    warm_start_backends,
-)
-from .problem import BasisTag, LinearProgram, LPSolution, LPStatus
+from .backend import DEFAULT_BACKEND, available_backends, solve_lp
+from .problem import LinearProgram, LPSolution, LPStatus
 from .scipy_backend import solve_with_scipy
-from .simplex import FACTORIZATIONS, SimplexSolver, solve_with_simplex
+from .simplex import SimplexSolver, solve_with_simplex
 
 __all__ = [
-    "BasisTag",
     "DEFAULT_BACKEND",
-    "FACTORIZATIONS",
     "LPSolution",
     "LPStatus",
     "LinearProgram",
@@ -23,6 +15,4 @@ __all__ = [
     "solve_lp",
     "solve_with_scipy",
     "solve_with_simplex",
-    "supports_warm_start",
-    "warm_start_backends",
 ]

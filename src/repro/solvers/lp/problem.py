@@ -24,19 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BasisTag", "LinearProgram", "LPSolution", "LPStatus"]
-
-#: One basic variable of a standard-form basis, named *semantically* so a
-#: basis survives structural edits to the problem it came from.  Tags:
-#: ``("x", j)`` original variable ``j`` (its positive part when split),
-#: ``("neg", j)`` the negative part of a free variable, ``("s_ub", i)``
-#: the slack of ``<=`` row ``i``, ``("s_bnd", j)`` the slack of variable
-#: ``j``'s finite-upper-bound row, and ``("art_ub", i)`` / ``("art_eq",
-#: i)`` / ``("art_bnd", j)`` the artificial of a (redundant) row.  Warm
-#: starts remap these names onto the new problem's columns, so callers
-#: that add columns (column generation) only need to renumber variable
-#: indices — see :meth:`repro.solvers.master.MasterProblem.solve`.
-BasisTag = tuple[str, int]
+__all__ = ["LinearProgram", "LPSolution", "LPStatus"]
 
 
 class LPStatus:
@@ -120,13 +108,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Primal/dual result of an LP solve.
-
-    ``basis`` is the optimal basis in semantic :data:`BasisTag` form when
-    the backend exposes one (the from-scratch simplex does; the HiGHS
-    adapter in :mod:`repro.solvers.lp.scipy_backend` does not), enabling
-    warm-started re-solves of structurally related problems.
-    """
+    """Primal/dual result of an LP solve."""
 
     status: str
     x: np.ndarray | None = None
@@ -135,7 +117,6 @@ class LPSolution:
     dual_eq: np.ndarray | None = None
     iterations: int = 0
     message: str = ""
-    basis: tuple[BasisTag, ...] | None = None
 
     @property
     def is_optimal(self) -> bool:

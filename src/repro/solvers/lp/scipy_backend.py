@@ -13,11 +13,7 @@ input cleaning and option validation, which on the paper's small
 masters cost more than HiGHS itself.
 
 Each solve runs in a fresh ``_Highs`` instance, so no solver state
-carries from one solve to the next.  This adapter neither accepts a
-starting basis nor populates :attr:`LPSolution.basis`;
-:func:`repro.solvers.lp.backend.solve_lp` therefore never forwards a
-``warm_basis`` here — warm-started master re-solves automatically fall
-back to cold HiGHS solves on this backend.
+carries from one solve to the next: every solve is cold.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Revised two-phase primal simplex with warm starts and dual extraction.
+"""Revised two-phase primal simplex with dual extraction.
 
 A from-scratch LP solver so the reproduction does not *require* an external
 optimizer: the paper's master problem (eq. 5) and its duals — which drive
 column generation — can be solved end to end with this module alone.  The
-SciPy HiGHS backend remains the default for speed; the test suite
+SciPy HiGHS backend remains the default for speed; this solver is its
+fallback (see :mod:`repro.solvers.lp.backend`), and the test suite
 cross-validates the two on random LPs and on every master problem shape the
 solvers emit.
 
@@ -13,44 +14,19 @@ Implementation notes
   ``min c'x, Ax = b, x >= 0, b >= 0``: finite lower bounds are shifted out,
   free variables are split into positive/negative parts, finite upper
   bounds become extra ``<=`` rows, and ``<=`` rows receive slack variables.
-* The core is a *revised* simplex over a pluggable **factorization
-  engine**.  The historical dense engine maintains the basis inverse
-  ``B^{-1}`` explicitly and updates it with the product-form (eta) rank-1
-  elimination on every pivot.  The sparse engine never materializes
-  ``B^{-1}`` at all: it holds a sparse LU factorization of the basis
-  (``scipy.sparse.linalg.splu``) plus the eta vectors of the pivots since
-  the last refactorization, and answers BTRAN/FTRAN with triangular
-  solves through that product form.  Either engine refactorizes from
-  scratch every ``refactor_every`` pivots to bound drift.  Selection is
-  by the ``factorization`` knob (``"auto" | "dense" | "sparse"``);
-  ``"auto"`` picks sparse only for large, sparse standardized matrices —
-  exactly the restricted-master regime with 10^4+ scenario rows, where
-  dense ``B^{-1}`` costs O(m^2) memory and O(m^3) refactorizations.
-* **Warm starts**: :meth:`SimplexSolver.solve` accepts a starting basis in
-  semantic :data:`~repro.solvers.lp.problem.BasisTag` form (as exposed by
-  a previous solve's :attr:`LPSolution.basis`).  When the named columns
-  still exist and the basis is nonsingular and primal feasible, phase 1
-  is skipped entirely and phase 2 re-enters directly — exactly the
-  column-generation case, where adding a column preserves primal
-  feasibility of the old optimal basis.  Any defect (missing tag,
-  singular basis, infeasible point) silently falls back to the cold
-  two-phase path, so warm solves can never fail where cold ones succeed.
-  Both engines implement the identical warm-start contract.
-* Phase 1 minimizes the sum of artificial variables from the
-  all-artificial basis; phase 2 re-prices with the true objective.
+* The core is a *revised* simplex over a dense basis inverse: ``B^{-1}``
+  is kept explicitly and updated with the product-form (eta) rank-1
+  elimination on every pivot, and refactorized from scratch every
+  ``refactor_every`` pivots to bound drift.
+* Every solve is cold: phase 1 minimizes the sum of artificial variables
+  from the all-artificial basis; phase 2 re-prices with the true
+  objective.
 * Pivoting uses Dantzig's rule with a Bland fallback after a degeneracy
-  streak, guaranteeing termination.  The pivot rules read only reduced
-  costs and ratio tests, so they are engine-independent.
+  streak, guaranteeing termination.
 * **Path-independent extraction**: once a phase-2 run reports optimality,
   the primal point, objective and duals are recomputed from a *fresh*
-  factorization of the final basis — the outputs depend only on
-  ``(A, b, c, basis)``, never on the pivot path taken to reach it.  The
-  extraction scheme is chosen by **problem size alone** (sparse LU above
-  :data:`_SPARSE_MIN_ROWS` rows, dense LAPACK below), never by which
-  engine ran the pivots; dense and sparse runs that terminate in the
-  same basis therefore return bit-for-bit identical objective, primal
-  and duals — the property the factorization-parity tests pin down, and
-  the same property that makes warm and cold solves comparable.
+  dense LAPACK factorization of the final basis — the outputs depend only
+  on ``(A, b, c, basis)``, never on the pivot path taken to reach it.
 * Duals are recovered as ``y = c_B' B^{-1}`` on the standard-form rows and
   mapped back through the row bookkeeping (sign flips from rhs negation).
 """
@@ -60,33 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as _sp
-from scipy.sparse.linalg import splu as _splu
 
 from ... import obs
-from .problem import BasisTag, LinearProgram, LPSolution, LPStatus
+from .problem import LinearProgram, LPSolution, LPStatus
 
-__all__ = ["SimplexSolver", "solve_with_simplex", "FACTORIZATIONS"]
+__all__ = ["SimplexSolver", "solve_with_simplex"]
 
 _EPS = 1e-9
 _DEGENERACY_STREAK = 12
 _REFACTOR_EVERY = 64
-#: A warm basis whose point violates ``x_B >= 0`` by more than this is
-#: rejected (fall back to cold phase 1) rather than repaired.
-_WARM_FEAS_TOL = 1e-7
-
-#: Accepted values of the ``factorization`` knob.
-FACTORIZATIONS = ("auto", "dense", "sparse")
-
-#: ``factorization="auto"`` considers the sparse engine only at or above
-#: this many standard-form rows (below it, dense ``B^{-1}`` wins on
-#: constant factors), and the size-keyed extraction switches to sparse LU
-#: at the same threshold.
-_SPARSE_MIN_ROWS = 512
-
-#: ``factorization="auto"`` requires the standardized constraint matrix
-#: to be at most this dense before picking the sparse engine.
-_SPARSE_MAX_DENSITY = 0.25
+#: A refactorized point that violates ``x_B >= 0`` by more than this is
+#: discarded (the eta product is kept) rather than clamped.
+_REFACTOR_FEAS_TOL = 1e-7
 
 
 @dataclass
@@ -106,12 +67,6 @@ class _StandardForm:
     neg_col: np.ndarray      # -1 when not split
     shift: np.ndarray
     flip: np.ndarray         # True when variable was mirrored (hi-only)
-    col_tags: list[BasisTag]  # semantic name per standard-form column
-
-    def row_tag(self, row: int) -> BasisTag:
-        """Artificial-variable tag for a standard-form row."""
-        return (f"art_{'bnd' if self.row_kind[row] == 'bound' else self.row_kind[row]}",
-                self.row_index[row])
 
 
 def _standardize(problem: LinearProgram) -> _StandardForm:
@@ -120,7 +75,6 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
     neg_col = np.full(n, -1, dtype=np.int64)
     shift = np.zeros(n)
     flip = np.zeros(n, dtype=bool)
-    col_tags: list[BasisTag] = []
 
     columns = 0
     bound_rows: list[tuple[int, float, int]] = []  # (std column, rhs, j)
@@ -131,7 +85,6 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
             # x = lo + x',  x' >= 0  (optionally x' <= hi - lo)
             pos_col[j] = columns
             shift[j] = lo_f
-            col_tags.append(("x", j))
             columns += 1
             if np.isfinite(hi_f):
                 bound_rows.append((pos_col[j], hi_f - lo_f, j))
@@ -140,14 +93,11 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
             pos_col[j] = columns
             shift[j] = hi_f
             flip[j] = True
-            col_tags.append(("x", j))
             columns += 1
         else:
             # Free: x = x+ - x-
             pos_col[j] = columns
             neg_col[j] = columns + 1
-            col_tags.append(("x", j))
-            col_tags.append(("neg", j))
             columns += 2
 
     n_ub = problem.n_ub_rows
@@ -180,7 +130,6 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
         adjust = emit_block(block, problem.a_ub)
         a[block, columns:columns + n_ub] = np.eye(n_ub)
         b[block] = problem.b_ub - adjust
-        col_tags.extend(("s_ub", i) for i in range(n_ub))
         row_kind.extend(["ub"] * n_ub)
         row_index.extend(range(n_ub))
     if n_eq:
@@ -194,7 +143,6 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
     for col, rhs, j in bound_rows:
         a[row, col] = 1.0
         a[row, slack] = 1.0
-        col_tags.append(("s_bnd", j))
         slack += 1
         b[row] = rhs
         row_kind.append("bound")
@@ -224,68 +172,22 @@ def _standardize(problem: LinearProgram) -> _StandardForm:
         neg_col=neg_col,
         shift=shift,
         flip=flip,
-        col_tags=col_tags,
     )
 
 
-def _encode_basis(
-    std: _StandardForm, basis: np.ndarray, n_std: int
-) -> tuple[BasisTag, ...]:
-    """Name each basic standard-form column semantically."""
-    tags: list[BasisTag] = []
-    for col in basis:
-        if col < n_std:
-            tags.append(std.col_tags[col])
-        else:
-            tags.append(std.row_tag(int(col) - n_std))
-    return tuple(tags)
-
-
-def _decode_basis(
-    std: _StandardForm, tags: tuple[BasisTag, ...] | None
-) -> np.ndarray | None:
-    """Map semantic tags onto this problem's columns; None when stale."""
-    if tags is None:
-        return None
-    m, n_std = std.a.shape
-    if len(tags) != m:
-        return None
-    col_of = {tag: i for i, tag in enumerate(std.col_tags)}
-    art_of = {std.row_tag(r): n_std + r for r in range(m)}
-    cols: list[int] = []
-    for tag in tags:
-        tag = (tag[0], int(tag[1]))
-        idx = col_of.get(tag)
-        if idx is None:
-            idx = art_of.get(tag)
-        if idx is None:
-            return None
-        cols.append(idx)
-    if len(set(cols)) != m:
-        return None
-    return np.asarray(cols, dtype=np.int64)
-
-
 # ----------------------------------------------------------------------
-# Factorization engines
+# Basis factorization
 # ----------------------------------------------------------------------
-#
-# An engine owns the factorization of the current basis of the working
-# matrix ``[A | I]`` and answers the four kernel queries of the revised
-# simplex: BTRAN (``y = c_B' B^{-1}``), pricing (``y' A``), FTRAN
-# (``B^{-1} a_j``) and the per-pivot update.  ``xb`` stays with the
-# caller; engines update it alongside their internal state so both
-# engines apply the exact same arithmetic to the iterate.
 
 
 class _DenseEngine:
-    """Historical scheme: explicit ``B^{-1}`` with eta rank-1 updates.
+    """Explicit ``B^{-1}`` of the working matrix ``[A | I]``.
 
-    Every operation reproduces the original implementation verbatim, so
-    the dense path is bit-for-bit the solver this module always was.
+    Answers the four kernel queries of the revised simplex: BTRAN
+    (``y = c_B' B^{-1}``), pricing (``y' A``), FTRAN (``B^{-1} a_j``) and
+    the per-pivot eta rank-1 update.  ``xb`` stays with the caller; the
+    update applies to it alongside ``B^{-1}``.
     """
-
-    kind = "dense"
 
     def __init__(self, std: _StandardForm) -> None:
         m = std.a.shape[0]
@@ -293,18 +195,8 @@ class _DenseEngine:
         # Structural columns followed by one artificial per row.
         self.full = np.hstack([std.a, np.eye(m)])
         self.n_cols = self.full.shape[1]
-        self.binv: np.ndarray | None = None
-
-    def start_identity(self) -> None:
-        """Factorize the all-artificial (identity) basis."""
-        self.binv = np.eye(self.m)
-
-    def start_basis(self, basis: np.ndarray) -> None:
-        """Factorize an arbitrary basis; raises ``LinAlgError`` if singular."""
-        self.binv = np.linalg.inv(self.full[:, basis])
-
-    def solve_b(self, b: np.ndarray) -> np.ndarray:
-        return self.binv @ b
+        # Every solve starts from the all-artificial (identity) basis.
+        self.binv = np.eye(m)
 
     def btran_cost(self, cost_basis: np.ndarray) -> np.ndarray:
         return cost_basis @ self.binv
@@ -343,7 +235,7 @@ class _DenseEngine:
         fresh_xb = fresh @ b
         # A refactorized point can pick up tiny negative components the
         # eta chain had kept at exactly 0; clamp round-off only.
-        if fresh_xb.min() < -_WARM_FEAS_TOL:  # pragma: no cover - guard
+        if fresh_xb.min() < -_REFACTOR_FEAS_TOL:  # pragma: no cover - guard
             return xb
         np.clip(fresh_xb, 0.0, None, out=fresh_xb)
         self.binv = fresh
@@ -352,143 +244,15 @@ class _DenseEngine:
     def basis_dense(self, basis: np.ndarray) -> np.ndarray:
         return self.full[:, basis]
 
-    def basis_csc(self, basis: np.ndarray) -> _sp.csc_matrix:
-        return _sp.csc_matrix(self.full[:, basis])
-
-
-class _SparseEngine:
-    """Sparse LU basis with product-form updates; ``B^{-1}`` never exists.
-
-    The basis is held as ``splu(B)`` plus the eta vectors of the pivots
-    since the last refactorization: with ``B^{-1} = E_k ... E_1 B_0^{-1}``,
-    FTRAN solves through ``B_0`` (two triangular solves) and applies the
-    etas forward; BTRAN applies the transposed etas in reverse and solves
-    ``B_0'`` — O(nnz + k*m) per query instead of the dense engine's
-    O(m^2), with O(nnz) memory instead of O(m^2).
-    """
-
-    kind = "sparse"
-
-    def __init__(self, std: _StandardForm) -> None:
-        m, n_std = std.a.shape
-        self.m = m
-        self.n_std = n_std
-        self.n_cols = n_std + m
-        # The standardized matrix is the dense path's single source of
-        # truth; converting it keeps every coefficient bit-identical.
-        a_csc = _sp.csc_matrix(std.a)
-        self.full_csc = _sp.hstack(
-            [a_csc, _sp.identity(m, format="csc", dtype=np.float64)],
-            format="csc",
-        )
-        # Pricing wants y' A for all structural columns at once: one CSR
-        # matvec of the transpose.  Artificial columns are unit vectors,
-        # so their prices are just y itself (see :meth:`price`).
-        self.struct_t = a_csc.T.tocsr()
-        self.lu = None
-        self.etas: list[tuple[int, np.ndarray]] = []
-
-    def start_identity(self) -> None:
-        self.lu = _splu(
-            _sp.identity(self.m, format="csc", dtype=np.float64)
-        )
-        self.etas.clear()
-
-    def start_basis(self, basis: np.ndarray) -> None:
-        try:
-            self.lu = _splu(self.basis_csc(basis))
-        except RuntimeError as exc:
-            # splu signals a singular basis with RuntimeError; normalize
-            # to the exception the warm-start fallback logic catches.
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        self.etas.clear()
-
-    def _apply_etas(self, x: np.ndarray) -> np.ndarray:
-        """``x <- E_k ... E_1 x`` (forward FTRAN sweep, in place)."""
-        for r, d in self.etas:
-            piv = x[r] / d[r]
-            x -= d * piv
-            x[r] = piv
-        return x
-
-    def _btran(self, y: np.ndarray) -> np.ndarray:
-        """``y' <- y' E_k ... E_1 B_0^{-1}`` (mutates its argument)."""
-        for r, d in reversed(self.etas):
-            # y' E for eta (r, d) changes only component r:
-            # y_r <- y_r + (y_r - y.d) / d_r.
-            y[r] = y[r] + (y[r] - y @ d) / d[r]
-        return self.lu.solve(y, trans="T")
-
-    def solve_b(self, b: np.ndarray) -> np.ndarray:
-        return self._apply_etas(self.lu.solve(b))
-
-    def btran_cost(self, cost_basis: np.ndarray) -> np.ndarray:
-        return self._btran(np.array(cost_basis, dtype=np.float64))
-
-    def price(self, y: np.ndarray, lim: int) -> np.ndarray:
-        values = self.struct_t @ y
-        if lim <= self.n_std:
-            return values[:lim]
-        return np.concatenate([values, y[: lim - self.n_std]])
-
-    def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m)
-        if j < self.n_std:
-            csc = self.full_csc
-            lo, hi = csc.indptr[j], csc.indptr[j + 1]
-            col[csc.indices[lo:hi]] = csc.data[lo:hi]
-        else:
-            col[j - self.n_std] = 1.0
-        return col
-
-    def ftran(self, j: int) -> np.ndarray:
-        return self._apply_etas(self.lu.solve(self.column(j)))
-
-    def pilot_row(self, r: int, lim: int) -> np.ndarray:
-        e = np.zeros(self.m)
-        e[r] = 1.0
-        return self.price(self._btran(e), lim)
-
-    def pivot(
-        self, direction: np.ndarray, row: int, xb: np.ndarray
-    ) -> None:
-        d = direction.copy()
-        piv = xb[row] / d[row]
-        xb -= d * piv
-        xb[row] = piv
-        self.etas.append((row, d))
-
-    def refactorize(
-        self, basis: np.ndarray, b: np.ndarray, xb: np.ndarray
-    ) -> np.ndarray:
-        try:
-            lu = _splu(self.basis_csc(basis))
-        except RuntimeError:  # pragma: no cover - drift guard
-            return xb  # keep the eta product; better than nothing
-        fresh_xb = lu.solve(b)
-        if fresh_xb.min() < -_WARM_FEAS_TOL:  # pragma: no cover - guard
-            return xb
-        np.clip(fresh_xb, 0.0, None, out=fresh_xb)
-        self.lu = lu
-        self.etas.clear()
-        return fresh_xb
-
-    def basis_dense(self, basis: np.ndarray) -> np.ndarray:
-        return self.full_csc[:, basis].toarray()
-
-    def basis_csc(self, basis: np.ndarray) -> _sp.csc_matrix:
-        return self.full_csc[:, basis].tocsc()
-
 
 class SimplexSolver:
-    """Revised two-phase simplex over pluggable basis factorizations."""
+    """Revised two-phase simplex over a dense basis inverse."""
 
     def __init__(
         self,
         max_iterations: int = 20_000,
         tolerance: float = _EPS,
         refactor_every: int = _REFACTOR_EVERY,
-        factorization: str = "auto",
     ) -> None:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
@@ -497,36 +261,17 @@ class SimplexSolver:
                 f"refactor_every must be >= 1, got {refactor_every}"
             )
         self.refactor_every = refactor_every
-        if factorization not in FACTORIZATIONS:
-            raise ValueError(
-                f"unknown factorization {factorization!r}; "
-                f"choose from {FACTORIZATIONS}"
-            )
-        self.factorization = factorization
         # Refactorizations of the current solve, counted as a plain
         # attribute in the pivot loop and emitted as telemetry only at
         # the solve() boundary (RPL701: no obs calls in hot kernels).
         self._refactorizations = 0
-        # Engine kind the last solve actually ran on (None for the
-        # unconstrained short-circuit, which factorizes nothing).
-        self._factorization_used: str | None = None
 
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        problem: LinearProgram,
-        warm_basis: tuple[BasisTag, ...] | None = None,
-    ) -> LPSolution:
-        """Solve a general-form LP; see module docstring for conventions.
-
-        ``warm_basis`` is a previous solve's :attr:`LPSolution.basis`
-        (possibly renamed by the caller after structural edits); a valid,
-        primal-feasible warm basis skips phase 1 entirely.
-        """
+    def solve(self, problem: LinearProgram) -> LPSolution:
+        """Solve a general-form LP; see module docstring for conventions."""
         self._refactorizations = 0
-        self._factorization_used = None
-        solution = self._solve_impl(problem, warm_basis)
+        solution = self._solve_impl(problem)
         obs.counter("repro_simplex_solves_total", status=solution.status)
         obs.counter(
             "repro_simplex_iterations_total", solution.iterations
@@ -534,104 +279,37 @@ class SimplexSolver:
         obs.counter(
             "repro_simplex_refactorizations_total", self._refactorizations
         )
-        if self._factorization_used is not None:
-            obs.counter(
-                "repro_simplex_factorization_total",
-                kind=self._factorization_used,
-            )
         return solution
 
-    def _make_engine(
-        self, std: _StandardForm
-    ) -> _DenseEngine | _SparseEngine:
-        """Pick the basis-factorization engine for this problem.
-
-        ``"auto"`` goes sparse only when the standardized matrix is both
-        large (``m >= _SPARSE_MIN_ROWS``) and sparse (density at most
-        ``_SPARSE_MAX_DENSITY``) — the restricted-master regime where
-        slack/structure columns dominate.  Small or dense problems keep
-        the historical dense engine, whose per-pivot constant factors
-        win there.
-        """
-        mode = self.factorization
-        if mode == "auto":
-            m = std.a.shape[0]
-            if m >= _SPARSE_MIN_ROWS and std.a.size:
-                density = np.count_nonzero(std.a) / std.a.size
-                mode = (
-                    "sparse" if density <= _SPARSE_MAX_DENSITY else "dense"
-                )
-            else:
-                mode = "dense"
-        return _SparseEngine(std) if mode == "sparse" else _DenseEngine(std)
-
-    def _solve_impl(
-        self,
-        problem: LinearProgram,
-        warm_basis: tuple[BasisTag, ...] | None = None,
-    ) -> LPSolution:
+    def _solve_impl(self, problem: LinearProgram) -> LPSolution:
         std = _standardize(problem)
         m, n_std = std.a.shape
 
         if m == 0:
             return self._solve_unconstrained(problem, std)
 
-        engine = self._make_engine(std)
-        self._factorization_used = engine.kind
+        engine = _DenseEngine(std)
 
-        basis: np.ndarray | None = None
-        xb: np.ndarray | None = None
-        iters1 = 0
-        if warm_basis is not None:
-            basis = _decode_basis(std, tuple(warm_basis))
-            if basis is not None:
-                try:
-                    engine.start_basis(basis)
-                except np.linalg.LinAlgError:
-                    basis = None
-                else:
-                    xb = engine.solve_b(std.b)
-                    artificial = basis >= n_std
-                    if xb.min() < -_WARM_FEAS_TOL:
-                        basis = None  # infeasible start: cold-solve
-                    elif (
-                        artificial.any()
-                        and xb[artificial].max() > _WARM_FEAS_TOL
-                    ):
-                        # A basic artificial at a *positive* value means
-                        # the carried basis does not actually satisfy
-                        # this problem's rows (e.g. the rhs changed):
-                        # accepting it would skip phase 1's
-                        # infeasibility check and report a
-                        # constraint-violating point as optimal.
-                        # Zero-valued artificials (redundant rows) are
-                        # fine — the cold path produces those too.
-                        basis = None
-                    else:
-                        np.clip(xb, 0.0, None, out=xb)
-
-        if basis is None:
-            # Phase 1: artificial variables with identity basis.
-            basis = np.arange(n_std, n_std + m, dtype=np.int64)
-            engine.start_identity()
-            xb = std.b.copy()
-            phase1_cost = np.zeros(n_std + m)
-            phase1_cost[n_std:] = 1.0
-            status, iters1, xb = self._iterate(
-                engine, std.b, basis, xb, phase1_cost, limit=None
+        # Phase 1: artificial variables with identity basis.
+        basis = np.arange(n_std, n_std + m, dtype=np.int64)
+        xb = std.b.copy()
+        phase1_cost = np.zeros(n_std + m)
+        phase1_cost[n_std:] = 1.0
+        status, iters1, xb = self._iterate(
+            engine, std.b, basis, xb, phase1_cost, limit=None
+        )
+        if status != LPStatus.OPTIMAL:
+            return LPSolution(status=status, message="phase 1 failed")
+        infeasibility = float(
+            sum(xb[r] for r in range(m) if basis[r] >= n_std)
+        )
+        if infeasibility > 1e-7:
+            return LPSolution(
+                status=LPStatus.INFEASIBLE,
+                iterations=iters1,
+                message=f"phase-1 objective {infeasibility:.3e}",
             )
-            if status != LPStatus.OPTIMAL:
-                return LPSolution(status=status, message="phase 1 failed")
-            infeasibility = float(
-                sum(xb[r] for r in range(m) if basis[r] >= n_std)
-            )
-            if infeasibility > 1e-7:
-                return LPSolution(
-                    status=LPStatus.INFEASIBLE,
-                    iterations=iters1,
-                    message=f"phase-1 objective {infeasibility:.3e}",
-                )
-            self._drive_out_artificials(engine, basis, xb, n_std)
+        self._drive_out_artificials(engine, basis, xb, n_std)
 
         # Phase 2 on the original columns only.
         phase2_cost = np.zeros(n_std + m)
@@ -647,8 +325,7 @@ class SimplexSolver:
             )
 
         # Path-independent extraction: everything below depends only on
-        # the final basis, so warm and cold runs — and dense and sparse
-        # runs — that agree on it return bitwise-identical solutions.
+        # the final basis, not on the pivots that reached it.
         xb, y = self._extract(engine, basis, std.b, phase2_cost[basis])
         x_std = np.zeros(n_std)
         for r in range(m):
@@ -665,36 +342,18 @@ class SimplexSolver:
             dual_ub=dual_ub,
             dual_eq=dual_eq,
             iterations=iters1 + iters2,
-            basis=_encode_basis(std, basis, n_std),
         )
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def _extract(
-        engine: _DenseEngine | _SparseEngine,
+        engine: _DenseEngine,
         basis: np.ndarray,
         b: np.ndarray,
         cost_basis: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(x_B, y)`` from a fresh factorization of the final basis.
-
-        The scheme is keyed on the row count alone — sparse LU at or
-        above :data:`_SPARSE_MIN_ROWS`, dense LAPACK below — never on
-        which engine ran the pivots, so any two runs terminating in the
-        same basis extract bit-for-bit identical results regardless of
-        their pivot paths.
-        """
-        m = len(basis)
-        if m >= _SPARSE_MIN_ROWS:
-            try:
-                lu = _splu(engine.basis_csc(basis))
-            except RuntimeError:  # pragma: no cover - drift guard
-                pass  # fall through to the dense extraction
-            else:
-                return lu.solve(b), lu.solve(
-                    np.array(cost_basis, dtype=np.float64), trans="T"
-                )
+        """``(x_B, y)`` from a fresh factorization of the final basis."""
         basis_matrix = engine.basis_dense(basis)
         try:
             xb = np.linalg.solve(basis_matrix, b)
@@ -729,12 +388,11 @@ class SimplexSolver:
             objective_value=float(problem.objective @ x),
             dual_ub=np.zeros(0),
             dual_eq=np.zeros(0),
-            basis=(),
         )
 
     def _iterate(
         self,
-        engine: _DenseEngine | _SparseEngine,
+        engine: _DenseEngine,
         b: np.ndarray,
         basis: np.ndarray,
         xb: np.ndarray,
@@ -806,7 +464,7 @@ class SimplexSolver:
 
     def _refresh(
         self,
-        engine: _DenseEngine | _SparseEngine,
+        engine: _DenseEngine,
         basis: np.ndarray,
         b: np.ndarray,
         xb: np.ndarray,
@@ -817,7 +475,7 @@ class SimplexSolver:
 
     def _drive_out_artificials(
         self,
-        engine: _DenseEngine | _SparseEngine,
+        engine: _DenseEngine,
         basis: np.ndarray,
         xb: np.ndarray,
         n_std: int,
@@ -883,10 +541,6 @@ def solve_with_simplex(
     problem: LinearProgram,
     max_iterations: int = 20_000,
     tolerance: float = _EPS,
-    warm_basis: tuple[BasisTag, ...] | None = None,
-    factorization: str = "auto",
 ) -> LPSolution:
     """Module-level convenience wrapper around :class:`SimplexSolver`."""
-    return SimplexSolver(
-        max_iterations, tolerance, factorization=factorization
-    ).solve(problem, warm_basis=warm_basis)
+    return SimplexSolver(max_iterations, tolerance).solve(problem)

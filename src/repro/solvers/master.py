@@ -18,18 +18,9 @@ The LP layer is *incremental* and *structure-exploiting*:
 * :meth:`MasterProblem.add_ordering` appends one cached column vector in
   O(rows); solves assemble the constraint blocks from growable arrays
   instead of restacking the full ``(Q, E, V)`` utility tensor per solve.
-* With a warm-start-capable backend (``"simplex"``), each re-solve
-  re-enters the revised simplex from the previous optimal basis — the
-  classic column-generation warm start, where phase 1 is skipped because
-  an added column never breaks primal feasibility.  The extraction is
-  path-independent (see :mod:`repro.solvers.lp.simplex`), so a warm
-  re-solve that lands in the same basis as a cold solve returns
-  bit-for-bit identical objective, policy and duals.
-* :meth:`MasterProblem.solve` can losslessly *prune* the restricted LP
-  first: attack rows pointwise-dominated within their adversary and
-  ordering columns pointwise-dominated by a peer are dropped, and the
-  solution is expanded back (pruned columns get probability 0, pruned
-  rows dual price 0) — the optimal value is provably unchanged.
+* Every :meth:`MasterProblem.solve` is one cold
+  :func:`~repro.solvers.lp.solve_lp` call on the assembled LP; no basis
+  or other solver state carries from one solve to the next.
 * Structurally identical masters (batched pricing: same ``Q`` and game,
   different utilities) share one :class:`MasterSkeleton` holding the
   static blocks (``u`` coefficients, convexity row, objective, bounds),
@@ -44,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import faults, obs
+from .. import obs
 from ..core.attack_map import AttackTypeMap
 from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
@@ -53,14 +44,7 @@ from ..core.objective import best_responses
 from ..core.payoffs import PayoffModel
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
-from .lp import (
-    BasisTag,
-    LinearProgram,
-    LPSolution,
-    LPStatus,
-    solve_lp,
-    supports_warm_start,
-)
+from .lp import LinearProgram, LPSolution, solve_lp
 
 __all__ = [
     "PolicyContext",
@@ -118,18 +102,6 @@ def _master_variable_blocks(
         else (None, None)
     bounds = tuple([(0.0, None)] * n_q + [u_bound] * n_e)
     return a_eq, c, bounds
-
-
-def _master_static_blocks(
-    game: AuditGame, e_rows: np.ndarray, n_q: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """The eq.-5 master's utility-independent blocks for given rows/``Q``.
-
-    Single source of truth for the skeleton, the per-master assembly
-    and the pruned sub-LP — the three must solve the *same* LP shape.
-    """
-    a_eq, c, bounds = _master_variable_blocks(game, n_q)
-    return _master_u_block(e_rows, game.n_adversaries), a_eq, c, bounds
 
 
 class PolicyContext:
@@ -387,12 +359,10 @@ class MasterSkeleton:
         self.n_q = n_q
         self.n_e = game.n_adversaries
         self.n_rows = len(e_rows)
-        (
-            self.u_block,
-            self.a_eq,
-            self.c,
-            self.bounds,
-        ) = _master_static_blocks(game, e_rows, n_q)
+        # The same two helpers MasterProblem._static_blocks builds from,
+        # so a skeleton's LP is exactly the master's own.
+        self.u_block = _master_u_block(e_rows, self.n_e)
+        self.a_eq, self.c, self.bounds = _master_variable_blocks(game, n_q)
 
 
 class MasterProblem:
@@ -403,20 +373,7 @@ class MasterProblem:
     context:
         The shared kernel/utility cache for one ``(game, Z, b)``.
     backend:
-        LP backend name; ``"simplex"`` additionally enables warm-started
-        re-solves (see ``warm_start``).
-    warm_start:
-        Re-enter each :meth:`solve` from the previous optimal basis when
-        the backend supports bases (auto-disabled otherwise).  Column
-        additions between solves are handled by renaming the basis: the
-        ``u`` variables shift with the column count, everything else is
-        stable.  A warm re-solve is guaranteed to return the cold
-        solve's objective/policy/duals bit-for-bit whenever it lands in
-        the same optimal basis (path-independent extraction), and the
-        simplex falls back to a cold two-phase run whenever the carried
-        basis has gone stale — warm starts never change feasibility or
-        optimality, only the pivot count.  ``lp_calls`` counts
-        :meth:`solve` invocations identically on both paths.
+        LP backend name (see :func:`~repro.solvers.lp.solve_lp`).
     skeleton:
         Optional :class:`MasterSkeleton` with prebuilt static blocks
         (used when its column count matches at solve time).
@@ -427,12 +384,10 @@ class MasterProblem:
         context: PolicyContext,
         backend: str = "scipy",
         *,
-        warm_start: bool = True,
         skeleton: MasterSkeleton | None = None,
     ) -> None:
         self.context = context
         self.backend = backend
-        self.warm_start = bool(warm_start) and supports_warm_start(backend)
         self.skeleton = skeleton
         self._orderings: list[Ordering] = []
         self._keys: set[tuple[int, ...]] = set()
@@ -445,13 +400,8 @@ class MasterProblem:
         self._col_buf = np.empty((self._n_rows, 16))
         self._pal_buf = np.empty((16, context.game.n_types))
         self._u_block: np.ndarray | None = None
-        self._basis: tuple[BasisTag, ...] | None = None
-        self._basis_n_q = 0
         self.lp_calls = 0
-        self.warm_solves = 0
         self.lp_seconds = 0.0
-        self.pruned_rows = 0
-        self.pruned_columns = 0
 
     @property
     def orderings(self) -> tuple[Ordering, ...]:
@@ -541,219 +491,18 @@ class MasterProblem:
         )
 
     # ------------------------------------------------------------------
-    # Dominance pruning
+    # Solving
     # ------------------------------------------------------------------
 
-    def _dominated_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean keep-mask over columns.
-
-        Column ``j`` (an ordering) is dropped when some other column
-        ``k`` satisfies ``cols[:, k] <= cols[:, j]`` pointwise — any
-        probability on ``j`` can be moved to ``k`` without increasing a
-        single adversary utility, so the optimum is unchanged.  Among
-        identical columns the lowest index survives.
-        """
-        n_rows, n_q = cols.shape
-        keep = np.ones(n_q, dtype=bool)
-        indices = np.arange(n_q)
-        chunk = 256
-        for start in range(0, n_q, chunk):
-            block = indices[start:start + chunk]
-            # le[k, j]: column k <= column j on every row.  Accumulated
-            # row by row so the working set stays at two (n_q, chunk)
-            # boolean planes instead of (rows, n_q, chunk) broadcasts —
-            # at enumeration scale (n_q = 5040, ~50+ rows) the 3-D
-            # temporaries would dwarf the LP solve being accelerated.
-            le = np.ones((n_q, len(block)), dtype=bool)
-            ge = np.ones((n_q, len(block)), dtype=bool)
-            for r in range(n_rows):
-                row = cols[r]
-                le &= row[:, None] <= row[block][None, :]
-                ge &= row[:, None] >= row[block][None, :]
-            strict = le & ~ge
-            equal_lower = (le & ge) & (
-                indices[:, None] < block[None, :]
-            )
-            keep[block] = ~(strict.any(axis=0) | equal_lower.any(axis=0))
-        return keep
-
-    def _dominated_rows(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean keep-mask over attack rows.
-
-        Within one adversary ``e``, row ``i`` is dropped when a sibling
-        row ``i'`` satisfies ``cols[i, :] <= cols[i', :]`` pointwise —
-        the constraint ``u_e >= sum_o p_o Ua_o[i]`` is then implied by
-        row ``i'`` for every feasible ``p``, so removing it changes
-        neither the optimum nor primal feasibility.  Dropped rows carry
-        dual price 0 (a valid dual completion).  Among identical rows
-        the lowest index survives.
-        """
-        e_rows, _ = self.context.representative_rows
-        keep = np.ones(len(e_rows), dtype=bool)
-        for e in np.unique(e_rows):
-            members = np.nonzero(e_rows == e)[0]
-            if len(members) < 2:
-                continue
-            rows = cols[members]  # (k, n_q)
-            le = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-            ge = (rows[:, None, :] >= rows[None, :, :]).all(axis=2)
-            # dominated[i] when some i' strictly dominates it, or an
-            # identical sibling with smaller index exists.
-            strict = le & ~ge
-            local = np.arange(len(members))
-            equal_lower = (le & ge) & (
-                local[:, None] > local[None, :]
-            )
-            dominated = strict.any(axis=1) | equal_lower.any(axis=1)
-            keep[members[dominated]] = False
-        return keep
-
-    def prune_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row_keep, column_keep) dominance masks for the current LP."""
-        if not self._orderings:
-            raise RuntimeError("master problem has no columns")
-        cols = self._col_buf[:, : len(self._orderings)]
-        return self._dominated_rows(cols), self._dominated_columns(cols)
-
-    def _solve_lp_pruned(self) -> LPSolution:
-        """Solve the dominance-pruned LP and expand back to full shape.
-
-        Lossless by construction (see :meth:`_dominated_columns` /
-        :meth:`_dominated_rows`): the returned solution has one entry
-        per original column/row again — pruned columns at probability 0,
-        pruned rows at dual price 0 — so every downstream consumer
-        (policy extraction, :meth:`reduced_cost`, :meth:`dual_prices`)
-        is oblivious to the pruning.
-        """
-        game = self.context.game
+    def solve(self) -> tuple[FixedThresholdSolution, LPSolution]:
+        """Solve the restricted master; returns policy plus raw LP data."""
         n_q = len(self._orderings)
-        row_keep, col_keep = self.prune_masks()
-        self.pruned_rows = int((~row_keep).sum())
-        self.pruned_columns = int((~col_keep).sum())
-        kept_cols = np.nonzero(col_keep)[0]
-        kept_rows = np.nonzero(row_keep)[0]
-        n_kept = len(kept_cols)
-        e_rows, _ = self.context.representative_rows
-
-        u_block, a_eq, c, bounds = _master_static_blocks(
-            game, e_rows[kept_rows], n_kept
-        )
-        a_ub = np.empty((len(kept_rows), n_kept + self._n_e))
-        a_ub[:, :n_kept] = self._col_buf[np.ix_(kept_rows, kept_cols)]
-        a_ub[:, n_kept:] = u_block
-        lp = LinearProgram(
-            objective=c,
-            a_ub=a_ub,
-            b_ub=np.zeros(len(kept_rows)),
-            a_eq=a_eq,
-            b_eq=np.array([1.0]),
-            bounds=bounds,
-        )
+        lp = self.build_lp()
         started = time.perf_counter()
         solution = solve_lp(lp, backend=self.backend).require_optimal()
         elapsed = time.perf_counter() - started
         self.lp_seconds += elapsed
         obs.observe("repro_master_lp_seconds", elapsed)
-
-        x = np.zeros(n_q + self._n_e)
-        x[kept_cols] = solution.x[:n_kept]
-        x[n_q:] = solution.x[n_kept:]
-        dual_ub = np.zeros(self._n_rows)
-        if solution.dual_ub is not None:
-            dual_ub[kept_rows] = solution.dual_ub
-        return LPSolution(
-            status=LPStatus.OPTIMAL,
-            x=x,
-            objective_value=solution.objective_value,
-            dual_ub=dual_ub,
-            dual_eq=solution.dual_eq,
-            iterations=solution.iterations,
-            message=solution.message,
-        )
-
-    # ------------------------------------------------------------------
-    # Solving
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _renamed_basis(
-        basis: tuple[BasisTag, ...], old_n_q: int, new_n_q: int
-    ) -> tuple[BasisTag, ...]:
-        """Shift ``u``-variable tags after columns were appended.
-
-        Ordering columns occupy variable indices ``[0, n_q)`` and keep
-        them forever; the ``u`` block starts at ``n_q`` and slides right
-        as columns arrive.  Row-keyed tags (slacks, artificials of
-        ``<=``/``==`` rows) are untouched — the row set never changes.
-        """
-        if old_n_q == new_n_q:
-            return basis
-        shift = new_n_q - old_n_q
-        renamed: list[BasisTag] = []
-        for kind, idx in basis:
-            if kind in ("x", "neg", "s_bnd", "art_bnd") and idx >= old_n_q:
-                idx += shift
-            renamed.append((kind, idx))
-        return tuple(renamed)
-
-    def solve(
-        self, *, prune: bool = False
-    ) -> tuple[FixedThresholdSolution, LPSolution]:
-        """Solve the restricted master; returns policy plus raw LP data.
-
-        ``prune=True`` drops dominated rows/columns first (lossless; see
-        :meth:`_solve_lp_pruned`) and skips warm starts — the pruned
-        shape varies between solves, so no basis is carried.
-        """
-        n_q = len(self._orderings)
-        if prune:
-            if not self._orderings:
-                raise RuntimeError("master problem has no columns")
-            solution = self._solve_lp_pruned()
-        else:
-            lp = self.build_lp()
-            warm = None
-            if self.warm_start and self._basis is not None:
-                warm = self._renamed_basis(
-                    self._basis, self._basis_n_q, n_q
-                )
-            started = time.perf_counter()
-            solution = None
-            if warm is not None:
-                # Warm re-entry can fail numerically (a stale or
-                # renamed basis the simplex cannot refactorize, or an
-                # injected "solvers.master.warm" fault); degrade to a
-                # cold solve instead of failing the whole master.
-                try:
-                    faults.point("solvers.master.warm")
-                    candidate = solve_lp(
-                        lp, backend=self.backend, warm_basis=warm
-                    )
-                except Exception:
-                    obs.counter("repro_master_warm_failures_total")
-                    candidate = None
-                if (
-                    candidate is not None
-                    and candidate.status != LPStatus.OPTIMAL
-                ):
-                    obs.counter("repro_master_warm_failures_total")
-                    candidate = None
-                if candidate is None:
-                    self._basis = None
-                    obs.counter("repro_master_cold_fallbacks_total")
-                else:
-                    self.warm_solves += 1
-                    obs.counter("repro_master_warm_solves_total")
-                solution = candidate
-            if solution is None:
-                solution = solve_lp(lp, backend=self.backend)
-            solution = solution.require_optimal()
-            elapsed = time.perf_counter() - started
-            self.lp_seconds += elapsed
-            obs.observe("repro_master_lp_seconds", elapsed)
-            if self.warm_start and solution.basis is not None:
-                self._basis = solution.basis
-                self._basis_n_q = n_q
         self.lp_calls += 1
         obs.counter("repro_master_lp_calls_total")
         probs = np.clip(solution.x[:n_q], 0.0, None)

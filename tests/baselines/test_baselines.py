@@ -10,7 +10,7 @@ from repro.baselines import (
     RandomThresholdBaseline,
     type_benefits,
 )
-from repro.solvers import iterative_shrink, solve_optimal
+from tests.conftest import solve_bruteforce, solve_ishm
 
 
 class TestRandomOrderBaseline:
@@ -104,7 +104,7 @@ class TestDominanceOverBaselines:
     def test_optimal_beats_all_baselines_on_syn_a(
         self, syn_a_game, syn_a_scenarios
     ):
-        optimal = solve_optimal(syn_a_game, syn_a_scenarios)
+        optimal = solve_bruteforce(syn_a_game, syn_a_scenarios)
         rng = np.random.default_rng(5)
         random_orders = RandomOrderBaseline(
             syn_a_game, syn_a_scenarios, n_orderings=24, rng=rng
@@ -121,7 +121,7 @@ class TestDominanceOverBaselines:
 
     def test_ishm_beats_greedy_baseline(self, syn_a_game,
                                         syn_a_scenarios):
-        heuristic = iterative_shrink(
+        heuristic = solve_ishm(
             syn_a_game, syn_a_scenarios, step_size=0.2
         )
         greedy = GreedyBenefitBaseline(

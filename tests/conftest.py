@@ -22,6 +22,27 @@ from repro.distributions import (
     DiscretizedGaussian,
     JointCountModel,
 )
+from repro.engine import BruteForceConfig, ISHMConfig
+from repro.engine import solve as engine_solve
+
+
+def solve_ishm(game, scenarios, step_size, solver=None, **options):
+    """Algorithm 2 through the engine registry; the native ``ISHMResult``.
+
+    ``solver`` is the fixed-threshold solver handed to ISHM (None: the
+    registry's default); ``options`` are further :class:`ISHMConfig`
+    fields.
+    """
+    config = ISHMConfig(step_size=step_size, **options)
+    return engine_solve(
+        game, scenarios, "ishm", config, fixed_solver=solver
+    ).raw
+
+
+def solve_bruteforce(game, scenarios, **options):
+    """The brute-force optimum through the engine registry (native result)."""
+    config = BruteForceConfig(**options)
+    return engine_solve(game, scenarios, "bruteforce", config).raw
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AlertType,
     Ordering,
     OrderingPricer,
     audited_counts,
     pal_for_ordering,
     pal_for_orderings,
     remaining_budget,
+    validate_thresholds,
 )
 from repro.datasets import syn_a
 from repro.distributions import ScenarioSet
@@ -250,3 +252,19 @@ class TestNaNInputs:
         engine = AuditEngine(syn_a(budget=10))
         with pytest.raises(ValueError, match="NaN"):
             engine.solve(method, **{option: (np.nan, 2.0, 2.0, 2.0)})
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: syn_a(budget=np.nan), "budget"),
+            (lambda: AlertType("x", audit_cost=np.nan), "audit cost"),
+            (
+                lambda: validate_thresholds([np.nan, 1.0, 2.0, 3.0], 4),
+                "thresholds",
+            ),
+        ],
+        ids=["game_budget", "alert_type_cost", "policy_thresholds"],
+    )
+    def test_public_constructors_reject_nan(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()

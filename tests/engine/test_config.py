@@ -57,6 +57,17 @@ class TestFromDict:
         with pytest.raises(ValueError, match="step_size"):
             ISHMConfig.from_dict({"stepsize": "0.1"})
 
+    @pytest.mark.parametrize(
+        "config_name, option",
+        [("CGGSConfig", "warm_start"), ("EnumerationConfig", "prune")],
+    )
+    def test_warm_start_and_prune_are_unknown(self, config_name, option):
+        import repro.engine
+
+        cls = getattr(repro.engine, config_name)
+        with pytest.raises(ValueError, match=f"no option '{option}'"):
+            cls.from_dict({option: "yes"})
+
 
 class TestMakeConfig:
     def test_defaults(self):
@@ -125,14 +136,3 @@ class TestUnionCoercion:
         assert coerce_value("true", annotation) is True
         assert coerce_value("false", annotation) is False
         assert coerce_value("none", annotation) is None
-
-    def test_cggs_warm_start_coercion(self):
-        assert CGGSConfig.from_dict(
-            {"warm_start": "off"}
-        ).warm_start is False
-
-    def test_enumeration_prune_coercion(self):
-        from repro.engine import EnumerationConfig
-
-        config = EnumerationConfig.from_dict({"prune": "yes"})
-        assert config.prune is True

@@ -1,4 +1,4 @@
-"""AuditEngine caching behavior, overrides, and the deprecated shims."""
+"""AuditEngine caching behavior and overrides."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,6 @@ import pytest
 from repro.engine import AuditEngine, ISHMConfig, register_solver
 from repro.engine import registry as registry_module
 from repro.engine.cache import FixedSolveCache
-from repro.solvers import (
-    BruteForceResult,
-    ISHMResult,
-    iterative_shrink,
-    solve_optimal,
-)
 
 
 @pytest.fixture()
@@ -176,37 +170,6 @@ class TestFixedSolveCacheUnit:
         assert (
             warm.policy.probabilities.tolist()
             == cold.policy.probabilities.tolist()
-        )
-
-
-class TestDeprecatedShims:
-    def test_iterative_shrink_warns_and_delegates(
-        self, tiny_game, tiny_scenarios
-    ):
-        with pytest.deprecated_call():
-            result = iterative_shrink(
-                tiny_game, tiny_scenarios, step_size=0.5
-            )
-        assert isinstance(result, ISHMResult)
-
-    def test_solve_optimal_warns_and_delegates(
-        self, tiny_game, tiny_scenarios
-    ):
-        with pytest.deprecated_call():
-            result = solve_optimal(tiny_game, tiny_scenarios)
-        assert isinstance(result, BruteForceResult)
-
-    def test_shim_matches_engine(self, tiny_game, tiny_scenarios):
-        with pytest.deprecated_call():
-            legacy = iterative_shrink(
-                tiny_game, tiny_scenarios, step_size=0.5
-            )
-        modern = AuditEngine(tiny_game).solve(
-            "ishm", step_size=0.5, scenarios=tiny_scenarios
-        )
-        assert legacy.objective == modern.objective
-        assert (
-            legacy.thresholds.tolist() == modern.thresholds.tolist()
         )
 
 

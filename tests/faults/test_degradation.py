@@ -1,7 +1,7 @@
 """Degradation paths under injected faults, with determinism preserved.
 
 The acceptance contract: every fallback (pool rebuild -> serial, scipy
--> simplex, warm -> cold, solve -> previous policy) produces answers
+-> simplex, solve -> previous policy) produces answers
 the healthy path would also have produced, and chaos runs replay
 bit-for-bit under an equal-seed plan.
 """
@@ -142,26 +142,6 @@ class TestLpBackendDegradation:
         solution = solve_lp(self.LP, backend="scipy")
         assert solution.status == LPStatus.OPTIMAL
         assert np.isclose(solution.objective_value, 1.0)
-
-
-class TestMasterWarmDegradation:
-    def test_warm_failure_falls_back_cold(self, tiny_game):
-        with AuditEngine(tiny_game, backend="simplex") as engine:
-            clean = engine.solve("cggs")
-        plan = FaultPlan([FaultRule("solvers.master.warm")])
-        with faults.active_plan(plan):
-            with AuditEngine(tiny_game, backend="simplex") as engine:
-                degraded = engine.solve("cggs")
-        # The warm path was genuinely exercised and failed every time...
-        assert plan.calls("solvers.master.warm") > 0
-        assert len(plan.history) == plan.calls("solvers.master.warm")
-        # ...and cold re-solves landed on the same optimum (cold paths
-        # round differently at machine precision, hence isclose — the
-        # existing warm-equivalence sim tests use the same tolerance).
-        assert np.isclose(degraded.objective, clean.objective)
-        assert np.allclose(
-            degraded.policy.probabilities, clean.policy.probabilities
-        )
 
 
 class TestSimDegradation:

@@ -14,13 +14,8 @@ from repro.datasets import (
     syn_a,
 )
 from repro.datasets.emr import EMR_TYPE_NAMES, learn_count_models
-from repro.solvers import (
-    CGGSSolver,
-    iterative_shrink,
-    make_fixed_solver,
-    response_report,
-    solve_optimal,
-)
+from repro.solvers import CGGSSolver, make_fixed_solver, response_report
+from tests.conftest import solve_bruteforce, solve_ishm
 
 
 class TestSynAPipeline:
@@ -29,8 +24,8 @@ class TestSynAPipeline:
     def test_ishm_close_to_bruteforce(self):
         game = syn_a(budget=6)
         scenarios = game.scenario_set()
-        optimal = solve_optimal(game, scenarios)
-        heuristic = iterative_shrink(game, scenarios, step_size=0.1)
+        optimal = solve_bruteforce(game, scenarios)
+        heuristic = solve_ishm(game, scenarios, step_size=0.1)
         assert heuristic.objective >= optimal.objective - 1e-9
         gap = heuristic.objective - optimal.objective
         assert gap <= 0.02 * abs(optimal.objective) + 1e-6
@@ -38,12 +33,12 @@ class TestSynAPipeline:
     def test_cggs_inside_ishm_close_to_enumeration(self):
         game = syn_a(budget=6)
         scenarios = game.scenario_set()
-        enum_result = iterative_shrink(game, scenarios, step_size=0.2)
+        enum_result = solve_ishm(game, scenarios, step_size=0.2)
         cggs_solver = make_fixed_solver(
             game, scenarios, method="cggs",
             rng=np.random.default_rng(0),
         )
-        cggs_result = iterative_shrink(
+        cggs_result = solve_ishm(
             game, scenarios, step_size=0.2, solver=cggs_solver
         )
         # Table VI: gamma2 is close to gamma1.
@@ -55,7 +50,7 @@ class TestSynAPipeline:
     def test_policy_evaluation_roundtrip(self):
         game = syn_a(budget=10)
         scenarios = game.scenario_set()
-        result = iterative_shrink(game, scenarios, step_size=0.25)
+        result = solve_ishm(game, scenarios, step_size=0.25)
         ev = game.evaluate(result.policy, scenarios)
         assert ev.auditor_loss == pytest.approx(result.objective,
                                                 abs=1e-9)
@@ -84,7 +79,7 @@ class TestEMRPipeline:
         rng = np.random.default_rng(0)
         scenarios = game.scenario_set(rng=rng, n_samples=300)
         solver = CGGSSolver(game, scenarios, rng=rng)
-        result = iterative_shrink(
+        result = solve_ishm(
             game, scenarios, step_size=0.4, solver=solver.solve
         )
         report = response_report(game, result.policy, scenarios)
@@ -101,7 +96,7 @@ class TestCreditPipeline:
         game = rea_b(budget=150)
         rng = np.random.default_rng(1)
         scenarios = game.scenario_set(rng=rng, n_samples=300)
-        result = iterative_shrink(
+        result = solve_ishm(
             game, scenarios, step_size=0.4,
             solver=make_fixed_solver(game, scenarios, rng=rng),
         )
@@ -114,7 +109,7 @@ class TestCreditPipeline:
         game = rea_b(budget=600)
         rng = np.random.default_rng(2)
         scenarios = game.scenario_set(rng=rng, n_samples=300)
-        result = iterative_shrink(
+        result = solve_ishm(
             game, scenarios, step_size=0.4,
             solver=make_fixed_solver(game, scenarios, rng=rng),
         )
@@ -129,7 +124,7 @@ class TestDeploymentLoop:
     def test_sampled_orderings_follow_policy(self):
         game = syn_a(budget=10)
         scenarios = game.scenario_set()
-        result = iterative_shrink(game, scenarios, step_size=0.25)
+        result = solve_ishm(game, scenarios, step_size=0.25)
         policy: AuditPolicy = result.policy
         rng = np.random.default_rng(3)
         draws = [

@@ -1,16 +1,13 @@
-"""One route contract, every backend.
+"""One route contract, both ways in.
 
-The same request/response assertions run against each available app:
+The same request/response assertions run against each entry point:
 
 * ``inproc`` — :class:`StdlibApp.handle`, the dispatch layer itself;
 * ``socket`` — :class:`StdlibApp` behind a real asyncio socket server,
-  exercising the HTTP/1.1 parser;
-* ``fastapi`` — the FastAPI adapter driven through its ASGI interface
-  (skipped when the optional dependency is not installed).
+  exercising the HTTP/1.1 parser.
 
-Because both apps funnel through :func:`repro.serve.http.dispatch`, a
-contract drift between them is structurally impossible — these tests
-pin the contract itself.
+Both funnel through :func:`repro.serve.http.dispatch`; these tests pin
+the contract itself.
 """
 
 from __future__ import annotations
@@ -20,24 +17,10 @@ import json
 
 import pytest
 
-from repro.serve import (
-    ROUTES,
-    StdlibApp,
-    have_fastapi,
-    make_fastapi_app,
-)
+from repro.serve import ROUTES, StdlibApp
 from repro.engine.result import SolveResult
 
-BACKENDS = [
-    "inproc",
-    "socket",
-    pytest.param(
-        "fastapi",
-        marks=pytest.mark.skipif(
-            not have_fastapi(), reason="fastapi not installed"
-        ),
-    ),
-]
+BACKENDS = ["inproc", "socket"]
 
 
 async def _socket_request(host, port, method, path, body):
@@ -54,67 +37,21 @@ async def _socket_request(host, port, method, path, body):
     return int(head.split()[1]), json.loads(tail)
 
 
-async def _asgi_request(app, method, path, body):
-    payload = b"" if body is None else json.dumps(body).encode()
-    scope = {
-        "type": "http",
-        "asgi": {"version": "3.0", "spec_version": "2.3"},
-        "http_version": "1.1",
-        "method": method,
-        "scheme": "http",
-        "path": path,
-        "raw_path": path.encode(),
-        "query_string": b"",
-        "root_path": "",
-        "headers": [
-            (b"content-type", b"application/json"),
-            (b"content-length", str(len(payload)).encode()),
-        ],
-        "server": ("testserver", 80),
-        "client": ("testclient", 123),
-    }
-    messages = []
-
-    async def receive():
-        return {
-            "type": "http.request",
-            "body": payload,
-            "more_body": False,
-        }
-
-    async def send(message):
-        messages.append(message)
-
-    await app(scope, receive, send)
-    status = next(
-        m["status"] for m in messages
-        if m["type"] == "http.response.start"
-    )
-    raw = b"".join(
-        m.get("body", b"") for m in messages
-        if m["type"] == "http.response.body"
-    )
-    return status, json.loads(raw) if raw else None
-
-
 class _Client:
     """One request interface over whichever backend is under test."""
 
-    def __init__(self, backend, service, server=None, fastapi_app=None):
+    def __init__(self, backend, service, server=None):
         self.backend = backend
         self.service = service
         self.server = server
-        self.fastapi_app = fastapi_app
 
     async def request(self, method, path, body=None):
         if self.backend == "inproc":
             return await StdlibApp(self.service).handle(
                 method, path, body
             )
-        if self.backend == "socket":
-            host, port = self.server.sockets[0].getsockname()[:2]
-            return await _socket_request(host, port, method, path, body)
-        return await _asgi_request(self.fastapi_app, method, path, body)
+        host, port = self.server.sockets[0].getsockname()[:2]
+        return await _socket_request(host, port, method, path, body)
 
 
 def contract_test(test_body):
@@ -124,18 +61,14 @@ def contract_test(test_body):
         async def main():
             async with make_service(drift_threshold=0.2) as service:
                 server = None
-                fastapi_app = None
                 if backend == "socket":
                     app = StdlibApp(service)
                     server = await asyncio.start_server(
                         app._client_connected, "127.0.0.1", 0
                     )
-                elif backend == "fastapi":
-                    fastapi_app = make_fastapi_app(service)
                 try:
                     await test_body(
-                        self,
-                        _Client(backend, service, server, fastapi_app),
+                        self, _Client(backend, service, server)
                     )
                 finally:
                     if server is not None:
@@ -332,9 +265,3 @@ def test_route_table_is_complete():
         ("POST", "/resolve"),
     }
 
-
-def test_fastapi_adapter_raises_without_dependency():
-    if have_fastapi():
-        pytest.skip("fastapi installed; the ImportError path is inert")
-    with pytest.raises(ImportError, match=r"\[serve\]"):
-        make_fastapi_app(object())

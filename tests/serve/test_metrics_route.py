@@ -6,8 +6,8 @@ matrix as the route-contract suite:
 
 * the body parses as Prometheus text and carries the score-latency
   histogram buckets and the re-solve counters;
-* the Content-Type declares the exposition version (socket + fastapi —
-  the in-proc interface returns the body only);
+* the Content-Type declares the exposition version (socket — the
+  in-proc interface returns the body only);
 * every counter surfaced in ``/status`` equals the corresponding metric
   sample, because both read the same registry.
 """
@@ -20,18 +20,9 @@ import json
 import pytest
 
 from repro import obs
-from repro.serve import StdlibApp, have_fastapi, make_fastapi_app
+from repro.serve import StdlibApp
 
-BACKENDS = [
-    "inproc",
-    "socket",
-    pytest.param(
-        "fastapi",
-        marks=pytest.mark.skipif(
-            not have_fastapi(), reason="fastapi not installed"
-        ),
-    ),
-]
+BACKENDS = ["inproc", "socket"]
 
 
 async def _socket_raw(host, port, method, path, body=None):
@@ -54,58 +45,13 @@ async def _socket_raw(host, port, method, path, body=None):
     return status, content_type, tail.decode()
 
 
-async def _asgi_raw(app, method, path, body=None):
-    payload = b"" if body is None else json.dumps(body).encode()
-    scope = {
-        "type": "http",
-        "asgi": {"version": "3.0", "spec_version": "2.3"},
-        "http_version": "1.1",
-        "method": method,
-        "scheme": "http",
-        "path": path,
-        "raw_path": path.encode(),
-        "query_string": b"",
-        "root_path": "",
-        "headers": [
-            (b"content-type", b"application/json"),
-            (b"content-length", str(len(payload)).encode()),
-        ],
-        "server": ("testserver", 80),
-        "client": ("testclient", 123),
-    }
-    messages = []
-
-    async def receive():
-        return {
-            "type": "http.request", "body": payload, "more_body": False
-        }
-
-    async def send(message):
-        messages.append(message)
-
-    await app(scope, receive, send)
-    start = next(
-        m for m in messages if m["type"] == "http.response.start"
-    )
-    content_type = ""
-    for name, value in start.get("headers", []):
-        if name.decode().lower() == "content-type":
-            content_type = value.decode()
-    raw = b"".join(
-        m.get("body", b"") for m in messages
-        if m["type"] == "http.response.body"
-    )
-    return start["status"], content_type, raw.decode()
-
-
 class _RawClient:
     """Raw (status, content_type, text) requests over one backend."""
 
-    def __init__(self, backend, service, server=None, fastapi_app=None):
+    def __init__(self, backend, service, server=None):
         self.backend = backend
         self.service = service
         self.server = server
-        self.fastapi_app = fastapi_app
 
     async def request(self, method, path, body=None):
         if self.backend == "inproc":
@@ -122,10 +68,8 @@ class _RawClient:
                 else json.dumps(payload)
             )
             return status, content_type, text
-        if self.backend == "socket":
-            host, port = self.server.sockets[0].getsockname()[:2]
-            return await _socket_raw(host, port, method, path, body)
-        return await _asgi_raw(self.fastapi_app, method, path, body)
+        host, port = self.server.sockets[0].getsockname()[:2]
+        return await _socket_raw(host, port, method, path, body)
 
 
 def metrics_test(test_body):
@@ -135,20 +79,14 @@ def metrics_test(test_body):
         async def main():
             async with make_service(drift_threshold=0.2) as service:
                 server = None
-                fastapi_app = None
                 if backend == "socket":
                     app = StdlibApp(service)
                     server = await asyncio.start_server(
                         app._client_connected, "127.0.0.1", 0
                     )
-                elif backend == "fastapi":
-                    fastapi_app = make_fastapi_app(service)
                 try:
                     await test_body(
-                        self,
-                        _RawClient(
-                            backend, service, server, fastapi_app
-                        ),
+                        self, _RawClient(backend, service, server)
                     )
                 finally:
                     if server is not None:

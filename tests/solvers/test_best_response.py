@@ -3,12 +3,8 @@
 import numpy as np
 
 from repro.core import AuditPolicy, Ordering
-from repro.solvers import (
-    deterrence_budget,
-    iterative_shrink,
-    response_report,
-)
-from tests.conftest import make_tiny_game
+from repro.solvers import deterrence_budget, response_report
+from tests.conftest import make_tiny_game, solve_ishm
 
 
 class TestResponseReport:
@@ -77,7 +73,7 @@ class TestResponseReport:
 class TestDeterrenceBudget:
     def test_finds_first_reaching_budget(self, tiny_scenarios):
         def solve(game):
-            result = iterative_shrink(
+            result = solve_ishm(
                 game, tiny_scenarios, step_size=0.25
             )
             return result.policy, result.objective
@@ -93,7 +89,7 @@ class TestDeterrenceBudget:
 
     def test_returns_none_when_unreachable(self, tiny_scenarios):
         def solve(game):
-            result = iterative_shrink(
+            result = solve_ishm(
                 game, tiny_scenarios, step_size=0.5
             )
             return result.policy, result.objective

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.solvers import (
-    iterative_shrink,
-    solve_optimal,
-    threshold_grid_size,
-)
-from tests.conftest import make_tiny_game
+from repro.solvers import threshold_grid_size
+from tests.conftest import make_tiny_game, solve_bruteforce, solve_ishm
 
 
 class TestGridSize:
@@ -32,18 +28,18 @@ class TestGridSize:
 
 class TestSolveOptimal:
     def test_optimal_beats_ishm(self, tiny_game, tiny_scenarios):
-        optimal = solve_optimal(tiny_game, tiny_scenarios)
-        heuristic = iterative_shrink(tiny_game, tiny_scenarios, 0.25)
+        optimal = solve_bruteforce(tiny_game, tiny_scenarios)
+        heuristic = solve_ishm(tiny_game, tiny_scenarios, 0.25)
         assert optimal.objective <= heuristic.objective + 1e-9
 
     def test_budget_floor_respected(self, tiny_game, tiny_scenarios):
-        result = solve_optimal(tiny_game, tiny_scenarios)
+        result = solve_bruteforce(tiny_game, tiny_scenarios)
         assert result.thresholds.sum() >= tiny_game.budget
 
     def test_relaxing_floor_never_helps(self, tiny_game,
                                         tiny_scenarios):
-        constrained = solve_optimal(tiny_game, tiny_scenarios)
-        relaxed = solve_optimal(
+        constrained = solve_bruteforce(tiny_game, tiny_scenarios)
+        relaxed = solve_bruteforce(
             tiny_game, tiny_scenarios, enforce_budget_floor=False
         )
         assert relaxed.objective <= constrained.objective + 1e-9
@@ -52,22 +48,22 @@ class TestSolveOptimal:
 
     def test_guard_on_large_grids(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError, match="intractable"):
-            solve_optimal(tiny_game, tiny_scenarios, max_vectors=3)
+            solve_bruteforce(tiny_game, tiny_scenarios, max_vectors=3)
 
     def test_tie_break_validation(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError):
-            solve_optimal(tiny_game, tiny_scenarios, tie_break="magic")
+            solve_bruteforce(tiny_game, tiny_scenarios, tie_break="magic")
 
     def test_describe_mentions_thresholds(self, tiny_game,
                                           tiny_scenarios):
-        result = solve_optimal(tiny_game, tiny_scenarios)
+        result = solve_bruteforce(tiny_game, tiny_scenarios)
         assert "optimal objective" in result.describe()
 
     def test_impossible_budget(self, tiny_scenarios):
         # Budget above the whole grid sum: no vector satisfies the floor.
         game = make_tiny_game(budget=10_000.0)
         with pytest.raises(RuntimeError):
-            solve_optimal(game, tiny_scenarios)
+            solve_bruteforce(game, tiny_scenarios)
 
     def test_monotone_in_budget(self, tiny_scenarios):
         # More budget can only help the auditor (Table III trend).
@@ -75,7 +71,7 @@ class TestSolveOptimal:
         for budget in (0.0, 2.0, 4.0):
             game = make_tiny_game(budget=budget)
             losses.append(
-                solve_optimal(game, tiny_scenarios).objective
+                solve_bruteforce(game, tiny_scenarios).objective
             )
         assert losses[0] >= losses[1] - 1e-9
         assert losses[1] >= losses[2] - 1e-9

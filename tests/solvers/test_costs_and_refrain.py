@@ -19,7 +19,8 @@ from repro.core import (
     PayoffModel,
 )
 from repro.distributions import ConstantCount, JointCountModel
-from repro.solvers import EnumerationSolver, iterative_shrink
+from repro.solvers import EnumerationSolver
+from tests.conftest import solve_ishm
 
 
 def cost_game(budget: float, refrain: bool = False) -> AuditGame:
@@ -92,13 +93,13 @@ class TestRefrainClamping:
     def test_huge_budget_fully_deters(self):
         game = cost_game(budget=50.0, refrain=True)
         scenarios = game.scenario_set()
-        result = iterative_shrink(game, scenarios, step_size=0.5)
+        result = solve_ishm(game, scenarios, step_size=0.5)
         assert result.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_without_refrain_loss_goes_negative(self):
         game = cost_game(budget=50.0, refrain=False)
         scenarios = game.scenario_set()
-        result = iterative_shrink(game, scenarios, step_size=0.5)
+        result = solve_ishm(game, scenarios, step_size=0.5)
         # Full detection: Ua = -M - K < 0 for every attack.
         assert result.objective < 0
 
@@ -108,5 +109,5 @@ class TestRefrainClamping:
         for budget in (50.0, 80.0):
             game = cost_game(budget=budget, refrain=True)
             scenarios = game.scenario_set()
-            result = iterative_shrink(game, scenarios, step_size=0.5)
+            result = solve_ishm(game, scenarios, step_size=0.5)
             assert result.objective == pytest.approx(0.0, abs=1e-9)

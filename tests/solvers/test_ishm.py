@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.engine import AuditEngine
-from repro.solvers import iterative_shrink, make_fixed_solver
+from repro.solvers import make_fixed_solver
 from repro.solvers.ishm import _shrunk, run_iterative_shrink
-from tests.conftest import make_tiny_game
+from tests.conftest import make_tiny_game, solve_ishm
 
 
 class TestShrunk:
@@ -42,19 +42,19 @@ class TestShrunk:
 class TestIterativeShrink:
     def test_validates_step_size(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError):
-            iterative_shrink(tiny_game, tiny_scenarios, step_size=0.0)
+            solve_ishm(tiny_game, tiny_scenarios, step_size=0.0)
         with pytest.raises(ValueError):
-            iterative_shrink(tiny_game, tiny_scenarios, step_size=1.0)
+            solve_ishm(tiny_game, tiny_scenarios, step_size=1.0)
 
     def test_validates_quantize_mode(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError):
-            iterative_shrink(
+            solve_ishm(
                 tiny_game, tiny_scenarios, 0.5, quantize="banana"
             )
 
     def test_validates_quantum(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError):
-            iterative_shrink(
+            solve_ishm(
                 tiny_game, tiny_scenarios, 0.5, quantum=0.0
             )
 
@@ -74,15 +74,15 @@ class TestIterativeShrink:
 
     def test_validates_initial_shape(self, tiny_game, tiny_scenarios):
         with pytest.raises(ValueError):
-            iterative_shrink(
+            solve_ishm(
                 tiny_game, tiny_scenarios, 0.5,
-                initial_thresholds=[1.0],
+                initial_thresholds=(1.0,),
             )
 
     def test_history_monotone_improvement(self, tiny_game,
                                           tiny_scenarios):
-        result = iterative_shrink(tiny_game, tiny_scenarios,
-                                  step_size=0.25)
+        result = solve_ishm(tiny_game, tiny_scenarios,
+                            step_size=0.25)
         objectives = [obj for _, obj in result.history]
         assert all(b < a for a, b in zip(objectives, objectives[1:], strict=False))
 
@@ -90,13 +90,13 @@ class TestIterativeShrink:
         solver = make_fixed_solver(tiny_game, tiny_scenarios)
         initial = tiny_game.threshold_upper_bounds().astype(float)
         start = solver(initial).objective
-        result = iterative_shrink(tiny_game, tiny_scenarios, 0.25,
-                                  solver=solver)
+        result = solve_ishm(tiny_game, tiny_scenarios, 0.25,
+                            solver=solver)
         assert result.objective <= start + 1e-12
 
     def test_final_policy_thresholds_match(self, tiny_game,
                                            tiny_scenarios):
-        result = iterative_shrink(tiny_game, tiny_scenarios, 0.25)
+        result = solve_ishm(tiny_game, tiny_scenarios, 0.25)
         assert np.array_equal(
             result.policy.thresholds, result.thresholds
         )
@@ -111,13 +111,13 @@ class TestIterativeShrink:
             calls += 1
             return inner(b)
 
-        result = iterative_shrink(
+        result = solve_ishm(
             tiny_game, tiny_scenarios, 0.25, solver=counting_solver
         )
         assert result.lp_calls == calls
 
     def test_max_probes_cap(self, tiny_game, tiny_scenarios):
-        result = iterative_shrink(
+        result = solve_ishm(
             tiny_game, tiny_scenarios, 0.1, max_probes=5
         )
         assert result.lp_calls <= 5
@@ -126,11 +126,11 @@ class TestIterativeShrink:
         self, syn_a_game, syn_a_scenarios
     ):
         solver = make_fixed_solver(syn_a_game, syn_a_scenarios)
-        coarse = iterative_shrink(
+        coarse = solve_ishm(
             syn_a_game, syn_a_scenarios, 0.5, solver=solver
         )
         solver2 = make_fixed_solver(syn_a_game, syn_a_scenarios)
-        fine = iterative_shrink(
+        fine = solve_ishm(
             syn_a_game, syn_a_scenarios, 0.1, solver=solver2
         )
         # The paper's Table IV trend: finer steps find better solutions
@@ -140,11 +140,11 @@ class TestIterativeShrink:
     def test_syn_a_b10_recovers_table3_thresholds(
         self, syn_a_game, syn_a_scenarios
     ):
-        result = iterative_shrink(syn_a_game, syn_a_scenarios, 0.1)
+        result = solve_ishm(syn_a_game, syn_a_scenarios, 0.1)
         assert result.thresholds.astype(int).tolist() == [3, 3, 3, 3]
 
     def test_quotas_helper(self, tiny_game, tiny_scenarios):
-        result = iterative_shrink(tiny_game, tiny_scenarios, 0.5)
+        result = solve_ishm(tiny_game, tiny_scenarios, 0.5)
         quotas = result.quotas(tiny_game.costs)
         assert np.array_equal(
             quotas, np.floor(result.thresholds / tiny_game.costs)
@@ -152,7 +152,7 @@ class TestIterativeShrink:
 
     def test_zero_budget_game(self, tiny_scenarios):
         game = make_tiny_game(budget=0.0)
-        result = iterative_shrink(game, tiny_scenarios, 0.5)
+        result = solve_ishm(game, tiny_scenarios, 0.5)
         # With no budget nothing is detected; loss = sum of max benefits
         # minus attack cost.
         expected = float(

@@ -1,13 +1,8 @@
-"""Incremental master assembly, dominance pruning, warm re-solves.
+"""Incremental master assembly, skeleton reuse, the CGGS table oracle.
 
 Covers the structure-exploiting LP layer:
 
 * O(rows) column appends assemble the same LP as the legacy restack;
-* dominated-row/column pruning is lossless (equivalence vs the unpruned
-  LP on the shapes the solvers emit);
-* warm-started master re-solves (simplex backend) skip phase 1 and agree
-  with cold re-solves to LP-roundoff, bitwise on re-entry into the same
-  LP;
 * the shared :class:`MasterSkeleton` changes nothing numerically;
 * the closed-form CGGS oracle matches the generic per-candidate oracle.
 """
@@ -100,163 +95,6 @@ class TestIncrementalAssembly:
         assert master.n_columns == 24
         fixed, _ = master.solve()
         assert fixed.objective == pytest.approx(-3.3868, abs=2e-3)
-
-
-class TestDominancePruning:
-    @pytest.mark.parametrize("idx", range(len(THRESHOLD_GRID)))
-    def test_pruned_solve_is_lossless(
-        self, syn_a_game, syn_a_scenarios, idx
-    ):
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[idx]
-        )
-        plain = MasterProblem(context)
-        pruned = MasterProblem(context)
-        for o in all_orderings(4):
-            plain.add_ordering(o)
-            pruned.add_ordering(o)
-        fixed_plain, sol_plain = plain.solve()
-        fixed_pruned, sol_pruned = pruned.solve(prune=True)
-        assert abs(
-            sol_plain.objective_value - sol_pruned.objective_value
-        ) <= 1e-9
-        assert abs(
-            fixed_plain.objective - fixed_pruned.objective
-        ) <= 1e-9
-        # Expanded duals stay a valid pricing vector: every enumerated
-        # column must price non-negative at the (pruned) optimum.
-        for o in all_orderings(4):
-            assert pruned.reduced_cost(sol_pruned, o) >= -1e-6
-
-    def test_pruning_actually_prunes(self, syn_a_game, syn_a_scenarios):
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
-        )
-        master = MasterProblem(context)
-        for o in all_orderings(4):
-            master.add_ordering(o)
-        master.solve(prune=True)
-        assert master.pruned_columns > 0
-
-    def test_identical_columns_keep_exactly_one(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        # With a budget large enough to audit everything, ordering stops
-        # mattering: all columns identical, exactly one survives.
-        rich = syn_a_game.with_budget(10_000.0)
-        upper = rich.threshold_upper_bounds().astype(float)
-        context = PolicyContext(rich, syn_a_scenarios, upper)
-        master = MasterProblem(context)
-        for o in all_orderings(4):
-            master.add_ordering(o)
-        row_keep, col_keep = master.prune_masks()
-        assert col_keep.sum() == 1
-        assert col_keep[0]  # lowest index survives
-
-    def test_engine_prune_knob_matches_default(self, syn_a_game):
-        from repro.engine import AuditEngine
-
-        with AuditEngine(syn_a_game) as engine:
-            base = engine.solve(
-                "enumeration", thresholds=(3.0, 3.0, 3.0, 3.0)
-            )
-            pruned = engine.solve(
-                "enumeration",
-                thresholds=(3.0, 3.0, 3.0, 3.0),
-                prune=True,
-            )
-        assert pruned.objective == pytest.approx(
-            base.objective, abs=1e-9
-        )
-
-
-class TestWarmStartedMaster:
-    def test_reentry_same_lp_is_bitwise(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[1]
-        )
-        master = MasterProblem(context, backend="simplex")
-        for o in all_orderings(4)[:6]:
-            master.add_ordering(o)
-        first, sol_first = master.solve()
-        # No structural change: the second solve re-enters the previous
-        # basis and must reproduce the solution bit-for-bit.
-        second, sol_second = master.solve()
-        assert master.warm_solves == 1
-        assert sol_first.objective_value == sol_second.objective_value
-        np.testing.assert_array_equal(sol_first.x, sol_second.x)
-        np.testing.assert_array_equal(
-            sol_first.dual_ub, sol_second.dual_ub
-        )
-        np.testing.assert_array_equal(
-            first.policy.probabilities, second.policy.probabilities
-        )
-        # lp_calls counts both solves: warm re-entry is still a solve.
-        assert master.lp_calls == 2
-
-    def test_column_adds_track_cold_objective(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        """Warm re-solves stay optimal through a CGGS-style add loop."""
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[2]
-        )
-        warm = MasterProblem(context, backend="simplex")
-        for o in all_orderings(4)[:10]:
-            warm.add_ordering(o)
-            _, sol_warm = warm.solve()
-            cold = MasterProblem(
-                context, backend="simplex", warm_start=False
-            )
-            for oo in warm.orderings:
-                cold.add_ordering(oo)
-            _, sol_cold = cold.solve()
-            assert sol_warm.objective_value == pytest.approx(
-                sol_cold.objective_value, abs=1e-9
-            )
-            # The expanded duals from either path price every known
-            # column non-negatively (both are optimal dual solutions).
-            for oo in warm.orderings:
-                assert warm.reduced_cost(sol_warm, oo) >= -1e-6
-        assert warm.warm_solves == 9  # every re-solve after the first
-
-    def test_scipy_backend_never_warm_starts(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
-        )
-        master = MasterProblem(context, backend="scipy")
-        assert not master.warm_start
-        master.add_ordering(Ordering((0, 1, 2, 3)))
-        master.solve()
-        master.solve()
-        assert master.warm_solves == 0
-
-    def test_cggs_warm_start_matches_cold_objective(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        b = THRESHOLD_GRID[1]
-        warm = CGGSSolver(
-            syn_a_game,
-            syn_a_scenarios,
-            backend="simplex",
-            rng=np.random.default_rng(5),
-            warm_start=True,
-        ).solve(b)
-        cold = CGGSSolver(
-            syn_a_game,
-            syn_a_scenarios,
-            backend="simplex",
-            rng=np.random.default_rng(5),
-            warm_start=False,
-        ).solve(b)
-        assert warm.objective == pytest.approx(
-            cold.objective, abs=1e-9
-        )
-        assert warm.lp_calls == cold.lp_calls
 
 
 class TestSkeletonReuse:
