@@ -1,10 +1,10 @@
 """Multi-period replay: warm-started vs cold per-period re-solving.
 
-The simulator re-solves the Optimal Auditing Problem every period.  With
-``warm_start=True`` it keeps one engine per distinct (count model,
-budget) pair, so a period whose distributions did not change re-solves
-against warm scenario/fixed-solution caches; ``warm_start=False``
-rebuilds the engine (and re-prices every ISHM probe) each period.
+The simulator re-solves the Optimal Auditing Problem every period, each
+time on a fresh engine.  With ``warm_start=True`` it memoizes the result
+per (count-model content, budget) pair, so a period whose distributions
+did not change replays the earlier solve; ``warm_start=False`` solves
+(and re-prices every ISHM probe) each period.
 
 This bench replays the same stationary Syn A trajectory both ways and
 reports the wall-clock ratio.  Correctness is asserted unconditionally —
@@ -63,7 +63,7 @@ def test_sim_replay_warm_vs_cold(benchmark):
                     "1.00x",
                 ],
                 [
-                    "warm (engines reused across periods)",
+                    "warm (solves memoized across periods)",
                     f"{warm_time:.2f}s",
                     str(warm.total_lp_calls),
                     f"{warm.n_memoized}/{n_periods}",

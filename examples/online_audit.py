@@ -2,9 +2,10 @@
 
 The paper solves the Optimal Auditing Problem once from a historical
 distribution fit.  In production the loop never stops: new alert logs
-arrive, the distributions are re-estimated, the policy is re-solved (with
-warm caches), attacks play out and the outcomes land in the next period's
-logs.  This example runs that loop three ways on the Syn A game:
+arrive, the distributions are re-estimated, the policy is re-solved (or
+an earlier solve replayed), attacks play out and the outcomes land in
+the next period's logs.  This example runs that loop three ways on the
+Syn A game:
 
 1. a stationary world with the paper's fixed distributions — warm
    re-solving makes every period after the first nearly free;

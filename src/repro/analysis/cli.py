@@ -20,7 +20,7 @@ solver's typed config::
 
 **Simulation mode** (``--sim``) runs the multi-period audit-operations
 loop of :mod:`repro.sim`: per-period alert streams, online distribution
-re-estimation, warm-started re-solving and a pluggable adversary.
+re-estimation, memoized re-solving and a pluggable adversary.
 ``--config`` configures the per-period solver; ``--sim-config`` sets
 :class:`~repro.sim.SimConfig` fields and (dotted) plugin options::
 
@@ -237,7 +237,6 @@ def _run_solver(args: argparse.Namespace) -> int:
             seed=args.seed,
             objective=float(result.objective),
             lp_calls=int(result.diagnostics.get("lp_calls", 0)),
-            warm_solves=int(result.diagnostics.get("warm_solves", 0)),
             solve_seconds=elapsed,
         )
         writer.write_raw(
@@ -313,8 +312,7 @@ def _run_sim(args: argparse.Namespace) -> int:
     # ...while genuine runtime failures inside the period loop keep
     # their honest tracebacks.
     started = time.perf_counter()
-    with simulator:
-        trajectory = simulator.run()
+    trajectory = simulator.run()
     elapsed = time.perf_counter() - started
     text = "\n".join(
         [

@@ -15,18 +15,16 @@ they can nest inside it.
 Current hierarchy, outermost first::
 
     rank  5   AuditService._resolve_lock   (asyncio; serializes re-solves)
-    rank 10   AuditService._engines_lock   (engine/memo map of the service)
     rank 20   AuditEngine._lock            (scenario/solution-cache maps)
     rank 30   FixedSolveCache._lock        (solution memo + executor)
     rank 40   PolicyStore._lock            (published-policy map; leaf)
     rank 50   MetricsRegistry._lock        (telemetry instruments; leaf)
     rank 60   FaultPlan._lock              (injection counters; leaf)
 
-So: the serve layer's engine map may create/evict engines (10 -> 20),
-an engine may reach into its caches (20 -> 30), and anyone may publish
-into the store while holding any of the above (… -> 40) — but a cache
-must never call back up into an engine, and nothing may solve while
-holding the store.  Telemetry sits at the very bottom (rank 50):
+So: a re-solve may solve on an engine (5 -> 20), an engine may reach
+into its caches (20 -> 30), and anyone may publish into the store
+while holding any of the above (… -> 40) — but a cache must never call
+back up into an engine, and nothing may solve while holding the store.  Telemetry sits at the very bottom (rank 50):
 counters and spans may be recorded while holding anything, and the
 registry calls back into nothing.  Fault-injection points (rank 60)
 fire from inside every layer above, so the plan's counter lock is a
@@ -68,14 +66,6 @@ LOCKS: tuple[LockSpec, ...] = (
         attr="_resolve_lock",
         kind="asyncio",
         guards="serializes background re-solves; held across to_thread",
-    ),
-    LockSpec(
-        name="serve.engines",
-        rank=10,
-        owner="AuditService",
-        attr="_engines_lock",
-        kind="threading",
-        guards="the service's per-(fingerprint, budget) engine/memo maps",
     ),
     LockSpec(
         name="engine",
@@ -154,7 +144,7 @@ def lock_for(owner: str, attr: str) -> LockSpec | None:
     ``owner`` is the enclosing class name at the ``with self.<attr>``
     site; when the receiver is not ``self`` the owner is unknown and
     resolution falls back to attribute names that are unique across the
-    hierarchy (``_engines_lock`` is unambiguous, ``_lock`` is not).
+    hierarchy (``_resolve_lock`` is unambiguous, ``_lock`` is not).
     """
     spec = _BY_OWNER_ATTR.get((owner, attr))
     if spec is not None:

@@ -13,6 +13,7 @@ on common random numbers rather than on resampled noise.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .base import AlertCountModel
 
-__all__ = ["ScenarioSet", "JointCountModel"]
+__all__ = ["ScenarioSet", "JointCountModel", "model_fingerprint"]
 
 #: Refuse exact enumeration beyond this many joint outcomes by default.
 DEFAULT_MAX_EXACT_SCENARIOS = 2_000_000
@@ -211,3 +212,28 @@ class JointCountModel:
 
     def __repr__(self) -> str:
         return f"JointCountModel(n_types={self.n_types})"
+
+
+def model_fingerprint(model: JointCountModel) -> str:
+    """Content hash of a joint count model (hex, 16 chars).
+
+    Hashes every marginal's class name, integer support and pmf bytes,
+    so the fingerprint changes exactly when the distribution content
+    does.  Distinct model *objects* with equal content share a
+    fingerprint on purpose: the store key identifies the distribution
+    the policy was solved against, not the Python object that carried
+    it.
+    """
+    digest = hashlib.sha256()
+    for marginal in model.marginals:
+        digest.update(type(marginal).__name__.encode())
+        digest.update(b"\x00")
+        support = np.ascontiguousarray(marginal.support(), dtype=np.int64)
+        pmf = np.ascontiguousarray(
+            marginal.support_pmf(), dtype=np.float64
+        )
+        digest.update(support.tobytes())
+        digest.update(b"\x01")
+        digest.update(pmf.tobytes())
+        digest.update(b"\x02")
+    return digest.hexdigest()[:16]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "coerce_value",
+    "config_from_pairs",
     "SolverConfig",
     "ISHMConfig",
     "BruteForceConfig",
@@ -74,6 +75,57 @@ def coerce_value(text: str, annotation: object) -> object:
     option parsing) so every ``k=v`` surface coerces identically.
     """
     return _coerce(text, annotation)
+
+
+def config_from_pairs(
+    cls: type, pairs: typing.Mapping[str, str], scopes: tuple[str, ...]
+) -> typing.Any:
+    """Build a config dataclass from flat CLI-style ``k=v`` pairs.
+
+    Plain keys are coerced onto ``cls``'s fields; dotted keys route to
+    plugin options — ``estimator.window=14`` becomes
+    ``estimator_options={"window": "14"}`` (plugins receive strings and
+    the registries coerce them against constructor annotations).
+    ``scopes`` names the plugin prefixes ``cls`` accepts.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    plain: dict[str, object] = {}
+    nested: dict[str, dict[str, str]] = {}
+    for key, value in pairs.items():
+        scope, dot, option = key.partition(".")
+        if dot:
+            if scope not in scopes:
+                raise ValueError(
+                    f"unknown plugin scope {scope!r} in option "
+                    f"{key!r}; use {'/'.join(s + '.' for s in scopes)}"
+                )
+            if not option:
+                raise ValueError(f"empty option name in {key!r}")
+            nested.setdefault(scope, {})[option] = value
+        elif key.endswith("_options") and key in fields:
+            # A flat string cannot populate an options mapping; insist
+            # on the dotted form so the mistake is caught here, not as a
+            # crash deep inside plugin construction.
+            scope = key[: -len("_options")]
+            raise ValueError(
+                f"{key} cannot be set directly; use dotted options "
+                f"like {scope}.<option>=<value>"
+            )
+        elif key in fields:
+            plain[key] = (
+                _coerce(value, hints[key])
+                if isinstance(value, str)
+                else value
+            )
+        else:
+            raise ValueError(
+                f"{cls.__name__} has no option {key!r}; valid options: "
+                f"{', '.join(sorted(fields))}"
+            )
+    for scope, options in nested.items():
+        plain[f"{scope}_options"] = options
+    return cls(**plain)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from .metrics import LabelKey, MetricsRegistry
 
 __all__ = ["CONTENT_TYPE", "render_prometheus"]
 
-#: Content type of the rendered body (the stdlib and FastAPI serve
-#: backends both send it for ``GET /metrics``).
+#: Content type of the rendered body (the serve layer's ``StdlibApp``
+#: sends it for ``GET /metrics``).
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")

@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 #: The canonical column set, in order, with one-line explanations
-#: (mirrored by the README's Observability section).
+#: (mirrored by the README's Observability section; a test keeps the
+#: two equal).
 RUN_TABLE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("run_id", "id of this run; raw payloads live in raw_runs/<run_id>/"),
     ("timestamp", "unix wall-clock time the row was appended"),
@@ -66,7 +67,6 @@ RUN_TABLE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("seed", "rng seed of this repetition"),
     ("objective", "achieved objective value (mu_hat)"),
     ("lp_calls", "master LP solve count"),
-    ("warm_solves", "always 0: every LP solve is cold"),
     ("solve_seconds", "wall-clock solve seconds (perf_counter)"),
     ("detection_rate", "sim: attacks detected / attacks mounted"),
     ("deterrence_rate", "sim: periods with no attack / periods"),
@@ -176,7 +176,12 @@ class RunTableWriter:
         # append leaves at most one torn *final* line, which scan_rows
         # tolerates — never silently dropped rows that looked written.
         with self._io_lock:
-            new_table = not self.csv_path.exists()
+            new_table = (
+                not self.csv_path.exists()
+                or self.csv_path.stat().st_size == 0
+            )
+            if not new_table:
+                self._check_header()
             with self.csv_path.open("a", encoding="utf-8", newline="") as f:
                 if new_table:
                     header = io.StringIO()
@@ -192,6 +197,17 @@ class RunTableWriter:
                 f.flush()
                 os.fsync(f.fileno())
         return row
+
+    def _check_header(self) -> None:
+        """Refuse to append under another version's columns."""
+        with self.csv_path.open(encoding="utf-8", newline="") as f:
+            header = next(csv.reader(f), [])
+        if tuple(header) != _COLUMN_NAMES:
+            raise ValueError(
+                f"run directory {self.root} holds a run_table.csv with "
+                f"columns {header}, not this version's "
+                f"{list(_COLUMN_NAMES)}; write to a fresh run directory"
+            )
 
 
 @dataclass(frozen=True)

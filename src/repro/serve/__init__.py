@@ -17,8 +17,8 @@ Layers:
   policy (no solver state touched);
 * :class:`~repro.serve.service.AuditService` — the async core: alert
   ingestion into :mod:`repro.sim` estimators, drift detection, and a
-  background re-solve worker over warm
-  :class:`~repro.engine.AuditEngine` instances;
+  background re-solve worker that solves each new key on a fresh
+  :class:`~repro.engine.AuditEngine` and replays published ones;
 * :mod:`repro.serve.http` — one route contract, served by a stdlib
   asyncio app.
 

@@ -5,27 +5,25 @@ defender: a :class:`~repro.serve.store.PolicyStore` holds published
 policies keyed by (count-model fingerprint, budget); incoming alert
 batches feed a :mod:`repro.sim` distribution estimator online; a
 background worker watches the estimated model drift away from the
-published one and re-solves through warm
-:class:`~repro.engine.AuditEngine` instances, publishing the new policy
-version with an atomic swap; and request-time scoring
+published one and re-solves it on a fresh
+:class:`~repro.engine.AuditEngine` (or replays the stored result of a
+key published before), publishing the new policy version with an
+atomic swap; and request-time scoring
 (:class:`~repro.serve.scoring.PolicyScorer`) reads whichever version is
 current without ever touching the solver hot path.
 
-The service is framework-agnostic: both the FastAPI app and the stdlib
-asyncio fallback in :mod:`repro.serve.http` are thin adapters over the
-async methods here.  Solves run in a worker thread
-(``asyncio.to_thread``), so the event loop keeps answering ``/score``
-and ``/alerts`` while a re-solve is in flight — the old policy version
-serves until the new one swaps in.
+The service is framework-agnostic: the stdlib asyncio app in
+:mod:`repro.serve.http` is a thin adapter over the async methods here.
+Solves run in a worker thread (``asyncio.to_thread``), so the event
+loop keeps answering ``/score`` and ``/alerts`` while a re-solve is in
+flight — the old policy version serves until the new one swaps in.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 import time
-import typing
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -33,15 +31,15 @@ import numpy as np
 
 from .. import faults, obs
 from ..core.game import AuditGame
-from ..distributions.joint import JointCountModel
+from ..distributions.joint import JointCountModel, model_fingerprint
 from ..engine import AuditEngine
 from ..engine import registry as engine_registry
-from ..engine.config import coerce_value
+from ..engine.config import config_from_pairs
 from ..engine.result import SolveResult
 from ..sim.registry import ESTIMATORS
 from ..sim.simulator import DistributionEstimator, _coerced_options
 from .scoring import PolicyScorer, ScoreBatch
-from .store import PolicyStore, PublishedPolicy, model_fingerprint
+from .store import PolicyStore, PublishedPolicy
 
 __all__ = ["ServeConfig", "AuditService"]
 
@@ -142,45 +140,11 @@ class ServeConfig:
     def from_pairs(cls, pairs: Mapping[str, str]) -> "ServeConfig":
         """Build from flat CLI-style ``k=v`` pairs.
 
-        Plain keys coerce onto :class:`ServeConfig` fields; dotted keys
-        route to plugin options (``estimator.window=14``,
-        ``solver.step_size=0.5``), mirroring ``SimConfig.from_pairs``.
+        Dotted keys route to plugin options (``estimator.window=14``,
+        ``solver.step_size=0.5``); see
+        :func:`~repro.engine.config.config_from_pairs`.
         """
-        hints = typing.get_type_hints(cls)
-        fields = {f.name for f in dataclasses.fields(cls)}
-        plain: dict[str, object] = {}
-        nested: dict[str, dict[str, str]] = {}
-        for key, value in pairs.items():
-            scope, dot, option = key.partition(".")
-            if dot:
-                if scope not in ("estimator", "solver"):
-                    raise ValueError(
-                        f"unknown plugin scope {scope!r} in option "
-                        f"{key!r}; use estimator./solver."
-                    )
-                if not option:
-                    raise ValueError(f"empty option name in {key!r}")
-                nested.setdefault(scope, {})[option] = value
-            elif key.endswith("_options") and key in fields:
-                scope = key[: -len("_options")]
-                raise ValueError(
-                    f"{key} cannot be set directly; use dotted options "
-                    f"like {scope}.<option>=<value>"
-                )
-            elif key in fields:
-                plain[key] = (
-                    coerce_value(value, hints[key])
-                    if isinstance(value, str)
-                    else value
-                )
-            else:
-                raise ValueError(
-                    f"ServeConfig has no option {key!r}; valid options: "
-                    f"{', '.join(sorted(fields))}"
-                )
-        for scope, options in nested.items():
-            plain[f"{scope}_options"] = options
-        return cls(**plain)
+        return config_from_pairs(cls, pairs, ("estimator", "solver"))
 
     def replace(self, **changes: object) -> "ServeConfig":
         """Functional update (alias for :func:`dataclasses.replace`)."""
@@ -219,11 +183,6 @@ class AuditService:
             scores = service.score([[3, 1, 4, 1]])
     """
 
-    #: Engines kept alive across re-solves (one per distinct
-    #: (fingerprint, budget); bounds pinned scenario sets, as in the
-    #: simulator).
-    MAX_ENGINES = 4
-
     def __init__(
         self,
         game: AuditGame,
@@ -250,14 +209,11 @@ class AuditService:
         )
         self.store = PolicyStore(keep_versions=config.keep_versions)
         self._active: _ActivePolicy | None = None
-        self._engines: dict[tuple[str, float], AuditEngine] = {}
-        self._solve_memo: dict[tuple[str, float], SolveResult] = {}
-        # Ranks 10 ("serve.engines") and 5 ("serve.resolve") in
-        # repro/devtools/lock_hierarchy.py — the linted ordering
-        # contract for everything these may nest around.
-        self._engines_lock = threading.RLock()
         self._pending: _ResolveRequest | None = None
         self._wake = asyncio.Event()
+        # Rank 5 ("serve.resolve") in repro/devtools/lock_hierarchy.py —
+        # the linted ordering contract for everything a re-solve may
+        # nest inside it.
         self._resolve_lock = asyncio.Lock()
         self._worker_task: asyncio.Task | None = None
         # monotonic: uptime is a duration, immune to wall-clock steps.
@@ -374,7 +330,7 @@ class AuditService:
         )
 
     async def stop(self) -> None:
-        """Cancel the worker and shut down engine worker pools."""
+        """Cancel the background re-solve worker."""
         task, self._worker_task = self._worker_task, None
         if task is not None:
             task.cancel()
@@ -382,15 +338,6 @@ class AuditService:
                 await task
             except asyncio.CancelledError:
                 pass
-        # engine.close() joins executor threads (a blocking wait, flagged
-        # by RPL201 when done on the loop) — snapshot under the lock,
-        # shut down off-loop.
-        with self._engines_lock:
-            engines = list(self._engines.values())
-        if engines:
-            await asyncio.to_thread(
-                lambda: [engine.close() for engine in engines]
-            )
 
     async def __aenter__(self) -> "AuditService":
         await self.start()
@@ -740,40 +687,26 @@ class AuditService:
         model: JointCountModel,
         budget: float,
     ) -> SolveResult:
-        """Warm-started solve (runs on a worker thread).
+        """Solve on a fresh engine (runs on a worker thread).
 
-        Engines are kept per (fingerprint, budget) content key, so a
-        model that drifts back to a previously-solved distribution
-        replays that engine's caches — and an unchanged model replays
-        the memoized result outright (determinism makes both lossless).
+        A (fingerprint, budget) key that was ever published replays its
+        stored result instead: the store keeps every key's latest
+        version, and solver determinism makes the replay exact.  The
+        engine is closed here, on the thread that solved with it, so
+        its shutdown never blocks the event loop.
         """
-        # First line, ahead of the memo lookup: a 100%-failure chaos
-        # plan must fail even re-solves of already-solved fingerprints.
+        # First line, ahead of the store lookup: a 100%-failure chaos
+        # plan must fail even re-solves of already-published keys.
         faults.point("serve.resolve")
+        published = self.store.current((fingerprint, budget))
+        if published is not None:
+            return published.result
         cfg = self.config
-        key = (fingerprint, float(budget))
-        with self._engines_lock:
-            memoized = self._solve_memo.get(key)
-            if memoized is not None:
-                return memoized
-            engine = self._engines.get(key)
-            if engine is None:
-                engine = AuditEngine(
-                    self._game_for(model, budget),
-                    backend=cfg.backend,
-                    seed=cfg.solver_seed,
-                    workers=cfg.workers,
-                    n_samples=cfg.n_samples,
-                )
-                self._engines[key] = engine
-                while len(self._engines) > self.MAX_ENGINES:
-                    evicted_key = next(iter(self._engines))
-                    self._engines.pop(evicted_key).close()
-                    self._solve_memo.pop(evicted_key, None)
-            else:
-                self._engines[key] = self._engines.pop(key)
-        result = engine.solve(cfg.solver, dict(cfg.solver_options))
-        with self._engines_lock:
-            if key in self._engines:
-                self._solve_memo[key] = result
-        return result
+        with AuditEngine(
+            self._game_for(model, budget),
+            backend=cfg.backend,
+            seed=cfg.solver_seed,
+            workers=cfg.workers,
+            n_samples=cfg.n_samples,
+        ) as engine:
+            return engine.solve(cfg.solver, dict(cfg.solver_options))

@@ -10,16 +10,17 @@ atomic swap on republish (readers observe either the complete old record
 or the complete new one, never a mixture).
 
 Fingerprints are *content* hashes of a
-:class:`~repro.distributions.joint.JointCountModel` — two model objects
-describing the same distributions share a fingerprint (so a warm
-re-publish lands on the same key), while any change to a support or pmf
+:class:`~repro.distributions.joint.JointCountModel`
+(:func:`~repro.distributions.joint.model_fingerprint`) — two model
+objects describing the same distributions share a fingerprint (so a
+re-publish lands on the same key, and the service replays the stored
+result instead of re-solving), while any change to a support or pmf
 produces a different one (so distinct count models can never collide
 into each other's policies).
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import deque
@@ -27,9 +28,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from ..distributions.joint import JointCountModel
+from ..distributions.joint import JointCountModel, model_fingerprint
 from ..engine.result import SolveResult
 
 __all__ = [
@@ -41,31 +40,6 @@ __all__ = [
 
 #: A store key: (count-model fingerprint, audit budget).
 PolicyKey = tuple[str, float]
-
-
-def model_fingerprint(model: JointCountModel) -> str:
-    """Content hash of a joint count model (hex, 16 chars).
-
-    Hashes every marginal's class name, integer support and pmf bytes,
-    so the fingerprint changes exactly when the distribution content
-    does.  Distinct model *objects* with equal content share a
-    fingerprint on purpose: the store key identifies the distribution
-    the policy was solved against, not the Python object that carried
-    it.
-    """
-    digest = hashlib.sha256()
-    for marginal in model.marginals:
-        digest.update(type(marginal).__name__.encode())
-        digest.update(b"\x00")
-        support = np.ascontiguousarray(marginal.support(), dtype=np.int64)
-        pmf = np.ascontiguousarray(
-            marginal.support_pmf(), dtype=np.float64
-        )
-        digest.update(support.tobytes())
-        digest.update(b"\x01")
-        digest.update(pmf.tobytes())
-        digest.update(b"\x02")
-    return digest.hexdigest()[:16]
 
 
 def make_key(model: JointCountModel, budget: float) -> PolicyKey:

@@ -8,11 +8,10 @@ closes the production loop its Section II-A implies.  Each period:
    access-log replay);
 2. a **distribution estimator** refits ``F_t`` from the observed counts
    (or keeps the paper's fixed one-shot fit);
-3. the defender **re-solves** through a warm-started
-   :class:`~repro.engine.AuditEngine` — scenario sets and
-   fixed-threshold solutions are reused across every period whose
-   distributions did not change, and warm results are guaranteed equal
-   to cold ones;
+3. the defender **re-solves** on a fresh
+   :class:`~repro.engine.AuditEngine`, or replays the memoized solve of
+   a (count-model content, budget) pair it solved before — replayed
+   results are guaranteed equal to fresh ones;
 4. a pure ordering is sampled from the mixed policy and deployed, a
    pluggable **adversary** (adaptive best response, static, quantal)
    moves against it, and realized detections, utilities, deterrence and

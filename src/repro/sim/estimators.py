@@ -6,11 +6,13 @@ period the estimator sees the newly observed per-type counts and decides
 whether the game's :class:`~repro.distributions.joint.JointCountModel`
 should change.
 
-The contract matters for warm-started re-solving: an estimator returns
-the *same model object* while its estimate is unchanged, and the
-simulator keys its per-model :class:`~repro.engine.AuditEngine` cache on
-that identity — scenario sets and fixed-threshold solutions survive
-exactly as long as the distributions do.
+The contract: an estimator returns the *same model object* while its
+estimate is unchanged, so the simulator flags exactly the periods that
+refit (and the serve layer measures zero drift between refits).  Solves
+are memoized on the model's *content*
+(:func:`~repro.distributions.joint.model_fingerprint`), so an unchanged
+estimate, or a refit that reproduces an earlier model, replays its
+solve.
 """
 
 from __future__ import annotations

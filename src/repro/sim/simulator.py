@@ -3,9 +3,9 @@
 Closes the production loop the paper's Section II-A implies: each
 period, an event source produces the benign alert stream, a distribution
 estimator refits the count models from it, the defender re-solves the
-Optimal Auditing Problem through a (warm-started) engine, a pure
-ordering is sampled from the mixed policy and deployed, the adversary
-model moves against the deployed policy, and the realized detections,
+Optimal Auditing Problem (or replays a memoized solve), a pure ordering
+is sampled from the mixed policy and deployed, the adversary model
+moves against the deployed policy, and the realized detections,
 utilities and budget consumption are recorded.
 
 Determinism: one ``numpy`` generator seeded with ``SimConfig.seed``
@@ -13,20 +13,20 @@ drives every stochastic step (event draws, ordering deployment,
 adversary sampling, detection coin flips) in a fixed order, and solver
 randomness is governed separately by the engine seed — so equal
 configurations reproduce trajectories bit for bit, and warm-started runs
-equal cold ones (solving never touches the trajectory rng, and the
-engine's cache guarantees warm solves match cold solves exactly).
+equal cold ones (solving never touches the trajectory rng, and solver
+determinism makes a replayed solve equal a fresh one exactly).
 
-Warm starting: the simulator keeps one :class:`~repro.engine.AuditEngine`
-per distinct ``(count model, budget)`` pair, plus a per-engine memo of
-the solve itself.  Estimators return the *same* model object while
-their estimate is unchanged, so a period whose (model, budget) pair was
-seen before replays that solve outright — guaranteed identical by
-solver determinism.  Scenario and fixed-solution caches are per engine:
-a refit produces a new model and therefore a cold engine, so warm
-starting pays off exactly when pairs recur (stationary stretches,
-``refit_every > 1``, carry-over budgets cycling back).
-``warm_start=False`` builds a fresh engine every period instead (the
-cold baseline ``benchmarks/bench_sim_replay.py`` measures against).
+Warm starting: each solve runs on a fresh
+:class:`~repro.engine.AuditEngine`, closed as soon as the period's solve
+and evaluation are done.  Only the result persists, memoized per
+``(model_fingerprint(model), budget)`` for the last
+:attr:`AuditSimulator.MAX_MEMO` keys, so a period whose count-model
+content and budget were solved before replays that solve outright: an
+unchanged estimate, a refit that reproduces an earlier model
+(``refit_every > 1``, stationary stretches), a carry-over budget
+cycling back.  ``warm_start=False`` clears the memo every period, so
+every period solves (the cold baseline
+``benchmarks/bench_sim_replay.py`` measures against).
 """
 
 from __future__ import annotations
@@ -43,10 +43,15 @@ from .. import faults, obs
 from ..core.detection import audited_counts, pal_for_ordering
 from ..core.game import AuditGame
 from ..core.objective import REFRAIN, PolicyEvaluation
-from ..distributions.joint import JointCountModel, ScenarioSet
+from ..distributions.joint import (
+    JointCountModel,
+    ScenarioSet,
+    model_fingerprint,
+)
 from ..engine import AuditEngine
 from ..engine import registry as engine_registry
-from ..engine.config import coerce_value
+from ..engine.config import coerce_value, config_from_pairs
+from ..engine.result import SolveResult
 from .registry import ADVERSARIES, ESTIMATORS, EVENT_SOURCES
 from .trajectory import AttackOutcome, PeriodRecord, Trajectory
 
@@ -109,9 +114,9 @@ class SimConfig:
         :data:`~repro.sim.registry.ADVERSARIES`, plus their keyword
         options.
     warm_start:
-        Reuse engines (and their caches) across periods with unchanged
-        distributions; False re-solves cold every period.  Results are
-        identical either way.
+        Replay the memoized solve of a (count-model content, budget)
+        pair seen in a recent period; False re-solves every period.
+        Results are identical either way.
     budget_carryover:
         Roll unspent audit budget into the next period.
     carryover_cap:
@@ -152,56 +157,15 @@ class SimConfig:
             )
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Mapping[str, str]
-    ) -> "SimConfig":
+    def from_pairs(cls, pairs: Mapping[str, str]) -> "SimConfig":
         """Build from flat CLI-style ``k=v`` string pairs.
 
-        Plain keys are coerced onto :class:`SimConfig` fields; dotted
-        keys route to plugin options — ``source.drift=0.2`` becomes
-        ``source_options={"drift": "0.2"}`` (plugins receive strings and
-        the registries coerce them against constructor annotations).
+        Dotted keys route to plugin options (``source.drift=0.2``); see
+        :func:`~repro.engine.config.config_from_pairs`.
         """
-        hints = typing.get_type_hints(cls)
-        fields = {f.name for f in dataclasses.fields(cls)}
-        plain: dict[str, object] = {}
-        nested: dict[str, dict[str, str]] = {}
-        for key, value in pairs.items():
-            scope, dot, option = key.partition(".")
-            if dot:
-                if scope not in ("source", "estimator", "adversary",
-                                 "solver"):
-                    raise ValueError(
-                        f"unknown plugin scope {scope!r} in option "
-                        f"{key!r}; use source./estimator./adversary./"
-                        "solver."
-                    )
-                if not option:
-                    raise ValueError(f"empty option name in {key!r}")
-                nested.setdefault(scope, {})[option] = value
-            elif key.endswith("_options") and key in fields:
-                # A flat string cannot populate an options mapping;
-                # insist on the dotted form so the mistake is caught
-                # here, not as a crash deep inside plugin construction.
-                scope = key[: -len("_options")]
-                raise ValueError(
-                    f"{key} cannot be set directly; use dotted options "
-                    f"like {scope}.<option>=<value>"
-                )
-            elif key in fields:
-                plain[key] = (
-                    coerce_value(value, hints[key])
-                    if isinstance(value, str)
-                    else value
-                )
-            else:
-                raise ValueError(
-                    f"SimConfig has no option {key!r}; valid options: "
-                    f"{', '.join(sorted(fields))}"
-                )
-        for scope, options in nested.items():
-            plain[f"{scope}_options"] = options
-        return cls(**plain)
+        return config_from_pairs(
+            cls, pairs, ("source", "estimator", "adversary", "solver")
+        )
 
     def replace(self, **changes: object) -> "SimConfig":
         """Functional update (alias for :func:`dataclasses.replace`)."""
@@ -254,10 +218,10 @@ class AuditSimulator:
         ``AuditSimulator(game, n_periods=6, estimator="rolling-empirical")``.
     """
 
-    #: Engines kept alive at once under ``warm_start`` (an engine per
-    #: distinct count model x budget; rolling estimators with carry-over
-    #: could otherwise pin unbounded scenario sets).
-    MAX_ENGINES = 4
+    #: Solve results kept at once under ``warm_start`` (one per distinct
+    #: count-model content x budget; carry-over budgets cycle through
+    #: a few keys, and older entries are evicted least recently used).
+    MAX_MEMO = 4
 
     def __init__(
         self,
@@ -305,70 +269,52 @@ class AuditSimulator:
             engine_registry.get_solver(config.solver),
             dict(config.solver_options),
         )
-        self._engines: dict[tuple[int, float], AuditEngine] = {}
-        # Per-engine memo of (SolveResult, PolicyEvaluation): the solver
-        # and its config are fixed for the simulator's lifetime, and
-        # re-solving an unchanged engine is guaranteed to reproduce the
-        # same result, so periods between refits skip the probe loop
-        # entirely.  Entries live and die with their engine (evicted
-        # together, cleared on every cold-mode rebuild), which also
-        # guards against id() reuse after an engine is freed.
-        self._solve_memo: dict[int, tuple] = {}
+        # (SolveResult, PolicyEvaluation) per (model fingerprint,
+        # budget): the solver and its config are fixed for the
+        # simulator's lifetime, and solving equal content at an equal
+        # budget is guaranteed to reproduce the same result, so periods
+        # between refits (and refits that reproduce an earlier model)
+        # skip the solve entirely.
+        self._solve_memo: dict[tuple[str, float], tuple] = {}
 
-    # ------------------------------------------------------------------
-    # Engine lifecycle (the warm-start machinery)
-    # ------------------------------------------------------------------
-
-    def _engine_for(
+    def _solve(
         self, model: JointCountModel, budget: float
-    ) -> AuditEngine:
+    ) -> tuple[SolveResult, PolicyEvaluation, int, bool]:
+        """Solve one period's (model, budget) pair, or replay its memo.
+
+        Returns ``(result, evaluation, cache_hits, memoized)``.  A miss
+        solves and evaluates on a fresh :class:`AuditEngine` that is
+        closed before returning; only the result outlives it.
+        """
         cfg = self.config
-        # Exact float key: engines are built with the exact budget, so
-        # any rounding here could hand a carry-over period an engine
-        # solved at a subtly different budget than the cold path uses.
-        key = (id(model), float(budget))
-        if not cfg.warm_start:
-            self.close()
-            self._engines.clear()
-            self._solve_memo.clear()
-        engine = self._engines.get(key)
-        if engine is not None:
-            # LRU refresh: re-insert so eviction drops the coldest
-            # engine, not the oldest (carry-over budgets can cycle).
-            self._engines[key] = self._engines.pop(key)
-        else:
-            game = self.game.with_budget(budget)
-            if model is not self.game.counts:
-                game = dataclasses.replace(game, counts=model)
-            engine = AuditEngine(
-                game,
-                backend=cfg.backend,
-                seed=cfg.solver_seed,
-                workers=cfg.workers,
-                n_samples=cfg.n_samples,
-            )
-            self._engines[key] = engine
-            while len(self._engines) > self.MAX_ENGINES:
-                evicted = self._engines.pop(next(iter(self._engines)))
-                self._solve_memo.pop(id(evicted), None)
-                evicted.close()
-        return engine
-
-    def _cache_hits(self) -> int:
-        return sum(
-            e.cache_info().solution_hits for e in self._engines.values()
-        )
-
-    def close(self) -> None:
-        """Shut down every engine's worker pool (engines stay usable)."""
-        for engine in self._engines.values():
-            engine.close()
-
-    def __enter__(self) -> "AuditSimulator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        # Exact float key: any rounding here could replay a carry-over
+        # period's solve at a subtly different budget than the cold
+        # path uses.
+        key = (model_fingerprint(model), float(budget))
+        memoized = self._solve_memo.pop(key, None)
+        if memoized is not None:
+            # LRU refresh: re-insert so eviction drops the coldest key,
+            # not the oldest (carry-over budgets can cycle).
+            self._solve_memo[key] = memoized
+            return (*memoized, 0, True)
+        faults.point("sim.solve")
+        game = self.game.with_budget(budget)
+        if model is not self.game.counts:
+            game = dataclasses.replace(game, counts=model)
+        with AuditEngine(
+            game,
+            backend=cfg.backend,
+            seed=cfg.solver_seed,
+            workers=cfg.workers,
+            n_samples=cfg.n_samples,
+        ) as engine:
+            result = engine.solve(cfg.solver, dict(cfg.solver_options))
+            evaluation = engine.evaluate(result.policy)
+            cache_hits = engine.cache_info().solution_hits
+        self._solve_memo[key] = (result, evaluation)
+        while len(self._solve_memo) > self.MAX_MEMO:
+            self._solve_memo.pop(next(iter(self._solve_memo)))
+        return result, evaluation, cache_hits, False
 
     # ------------------------------------------------------------------
     # The period loop
@@ -420,42 +366,33 @@ class AuditSimulator:
             if refit:
                 obs.counter("repro_sim_refits_total")
 
-            # 3. Re-solve through the (warm) engine.  An engine seen
-            # before (same model, same budget) would reproduce its
-            # previous result exactly, so the memo skips the re-solve.
-            engine = self._engine_for(model, budget)
-            hits_before = self._cache_hits()
+            # 3. Re-solve on a fresh engine, unless this (model, budget)
+            # content was solved before: that would reproduce its
+            # previous result exactly, so the memo replays it.
+            if not cfg.warm_start:
+                self._solve_memo.clear()
             started = time.perf_counter()
             # No period label: each PeriodRecord carries its index, and
             # a per-period label would add one series per period.
             with obs.span("sim.period", refit=refit):
-                memoized = self._solve_memo.get(id(engine))
-                if memoized is None:
-                    try:
-                        faults.point("sim.solve")
-                        result = engine.solve(
-                            cfg.solver, dict(cfg.solver_options)
-                        )
-                        evaluation = engine.evaluate(result.policy)
-                        self._solve_memo[id(engine)] = (
-                            result,
-                            evaluation,
-                        )
-                    except Exception:
-                        # No policy served yet: nothing to fall back
-                        # to, so the first-period failure still aborts.
-                        if last_served is None:
-                            raise
-                        obs.counter("repro_sim_solve_failures_total")
-                        result, evaluation = last_served
-                else:
-                    result, evaluation = memoized
+                try:
+                    result, evaluation, cache_hits, memoized = (
+                        self._solve(model, budget)
+                    )
+                except Exception:
+                    # No policy served yet: nothing to fall back to, so
+                    # the first-period failure still aborts.
+                    if last_served is None:
+                        raise
+                    obs.counter("repro_sim_solve_failures_total")
+                    result, evaluation = last_served
+                    cache_hits, memoized = 0, False
             last_served = (result, evaluation)
             solve_seconds = time.perf_counter() - started
             obs.observe(
                 "repro_sim_solve_seconds",
                 solve_seconds,
-                memoized=memoized is not None,
+                memoized=memoized,
             )
 
             # 4. Deploy: sample one pure ordering from the mixed policy.
@@ -554,9 +491,8 @@ class AuditSimulator:
                         result.diagnostics.get("lp_calls", 0)
                     ),
                     solve_seconds=solve_seconds,
-                    # Evicting an engine forgets its counters, so clamp.
-                    cache_hits=max(self._cache_hits() - hits_before, 0),
-                    memoized=memoized is not None,
+                    cache_hits=cache_hits,
+                    memoized=memoized,
                 )
             )
 
@@ -581,6 +517,5 @@ def simulate(
     config: SimConfig | None = None,
     **overrides: object,
 ) -> Trajectory:
-    """One-shot convenience: build a simulator, run it, close it."""
-    with AuditSimulator(game, config, **overrides) as simulator:
-        return simulator.run()
+    """One-shot convenience: build a simulator and run it."""
+    return AuditSimulator(game, config, **overrides).run()

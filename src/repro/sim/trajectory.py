@@ -73,8 +73,8 @@ class PeriodRecord:
     spent:
         Audit budget actually consumed on the realized counts.
     refit:
-        True when the estimator changed the count model this period
-        (a warm-started engine is invalidated exactly on these periods).
+        True when the estimator returned a new count model this period
+        (a refit to content solved before still replays its solve).
     lp_calls:
         Threshold-pricing requests reported by the solver for this
         period's solve.  A memoized period echoes the diagnostics of
@@ -83,8 +83,8 @@ class PeriodRecord:
     solve_seconds, cache_hits, memoized:
         Wall-clock, engine-cache and solve-memo diagnostics; excluded
         from record equality.  ``memoized`` is True when the period
-        reused a previous period's solve outright (same count model,
-        same budget) instead of re-running the solver.
+        reused a previous period's solve outright (equal count-model
+        content, same budget) instead of re-running the solver.
     """
 
     period: int

@@ -413,6 +413,9 @@ class SimplexSolver:
         for iteration in range(self.max_iterations):
             y = engine.btran_cost(cost[basis])
             reduced = cost[:lim] - engine.price(y, lim)
+            # Basic columns price to exactly 0; rounding below -tol
+            # would let one re-enter and self-pivot forever.
+            reduced[basis[basis < lim]] = 0.0
             use_bland = degenerate_streak >= _DEGENERACY_STREAK
             if use_bland:
                 candidates = np.nonzero(reduced < -self.tolerance)[0]

@@ -8,12 +8,12 @@ class FixedSolveCache:
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._engines_lock = threading.RLock()
+        self._resolve_lock = threading.RLock()
         self._stats_lock = threading.Lock()
 
     def inverted_with(self):
         with self._lock:
-            with self._engines_lock:  # rank 10 under rank 30
+            with self._resolve_lock:  # rank 5 under rank 30
                 return None
 
     def unranked_under_ranked(self):

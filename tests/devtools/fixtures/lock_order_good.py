@@ -21,7 +21,7 @@ class AuditEngine:
     def nested_def_is_a_barrier(self):
         with self._lock:
             def later(other):
-                with other._engines_lock:  # runs later, holds nothing
+                with other._resolve_lock:  # runs later, holds nothing
                     return None
 
             return later
@@ -29,8 +29,8 @@ class AuditEngine:
 
 class AuditService:
     def __init__(self):
-        self._engines_lock = threading.RLock()
+        self._resolve_lock = threading.RLock()
 
-    def solve_under_engines_lock(self, engine):
-        with self._engines_lock:  # rank 10 -> solve acquires 20: descends
+    def solve_under_resolve_lock(self, engine):
+        with self._resolve_lock:  # rank 5 -> solve acquires 20: descends
             return engine.solve("ishm")

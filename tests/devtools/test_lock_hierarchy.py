@@ -34,9 +34,9 @@ class TestDeclaration:
         assert (
             lock_hierarchy.lock_for("FixedSolveCache", "_lock").rank == 30
         )
-        # `_engines_lock` is unique across the hierarchy: resolvable
+        # `_resolve_lock` is unique across the hierarchy: resolvable
         # even when the receiver's class is unknown.
-        assert lock_hierarchy.lock_for("", "_engines_lock").rank == 10
+        assert lock_hierarchy.lock_for("", "_resolve_lock").rank == 5
         # `_lock` is not: unknown receiver stays unresolved.
         assert lock_hierarchy.lock_for("", "_lock") is None
         assert lock_hierarchy.lock_for("Whatever", "_nope") is None

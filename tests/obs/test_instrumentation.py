@@ -111,8 +111,7 @@ def test_sim_counters_and_spans(tiny_game, registry):
 
     config = SimConfig(n_periods=2, solver="ishm",
                        solver_options={"step_size": 0.5})
-    with AuditSimulator(tiny_game, config) as sim:
-        trajectory = sim.run()
+    trajectory = AuditSimulator(tiny_game, config).run()
     assert trajectory.n_periods == 2
     assert registry.counter_total("repro_sim_periods_total") == 2.0
     hist = registry.get_histogram(
@@ -136,8 +135,7 @@ def test_sim_period_span_series_stay_bounded(tiny_game, registry):
         estimator="rolling-empirical",
         estimator_options={"min_periods": 2, "refit_every": 6},
     )
-    with AuditSimulator(tiny_game, config) as sim:
-        trajectory = sim.run()
+    trajectory = AuditSimulator(tiny_game, config).run()
     assert trajectory.n_periods == 12
     spans = registry.snapshot()["histograms"].get(SPAN_HISTOGRAM, {})
     series = {

@@ -46,8 +46,7 @@ def test_sim_solve_seconds_nonnegative_under_clock_step(
 
     config = SimConfig(n_periods=2, solver="ishm",
                        solver_options={"step_size": 0.5})
-    with AuditSimulator(tiny_game, config) as sim:
-        trajectory = sim.run()
+    trajectory = AuditSimulator(tiny_game, config).run()
     assert all(r.solve_seconds >= 0.0 for r in trajectory.records)
     assert trajectory.total_solve_seconds >= 0.0
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,26 @@ def test_header_written_once_and_columns_canonical(tmp_path):
         assert tuple(header) == _COLUMN_NAMES
         assert len(list(reader)) == 2
     assert tuple(n for n, _ in obs.RUN_TABLE_COLUMNS) == _COLUMN_NAMES
+
+
+def test_append_refuses_another_versions_header(tmp_path):
+    # Rows of this version must never land under an older header's
+    # columns (e.g. one that still has a dropped column).
+    old = [*_COLUMN_NAMES[:11], "warm_solves", *_COLUMN_NAMES[11:]]
+    (tmp_path / "run_table.csv").write_text(",".join(old) + "\r\n")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
+        obs.RunTableWriter(tmp_path).append(run_id="a", kind="bench")
+    assert not (tmp_path / "run_table.jsonl").exists()
+
+
+def test_readme_lists_the_canonical_columns():
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    listed = re.search(r"Columns: `([^`]*)`", readme)
+    assert listed is not None
+    names = tuple(n.strip() for n in listed.group(1).split(","))
+    assert names == _COLUMN_NAMES
 
 
 def test_timestamp_autofilled(tmp_path):

@@ -67,8 +67,6 @@ class TestResolvePathNeverBlocksLoop:
                 monkeypatch.setattr(
                     type(service), "_solve_blocking", slow_solve
                 )
-                # Drop the memo so the resolve really re-solves.
-                service._solve_memo.clear()
 
                 async with _Heartbeat() as heartbeat:
                     published = await service.resolve_now()
@@ -85,25 +83,29 @@ class TestResolvePathNeverBlocksLoop:
         self, make_service, monkeypatch
     ):
         async def main():
-            service = make_service()
-            await service.start()
-            assert service._engines  # the initial solve built one
+            async with make_service(auto_resolve=False) as service:
+                real_close = AuditEngine.close
+                closes = []
 
-            real_close = AuditEngine.close
+                def slow_close(self):
+                    time.sleep(BLOCKING_DELAY)
+                    closes.append(self)
+                    real_close(self)
 
-            def slow_close(self):
-                time.sleep(BLOCKING_DELAY)
-                real_close(self)
+                monkeypatch.setattr(AuditEngine, "close", slow_close)
+                # A shifted batch makes a new key, so the re-solve
+                # builds (and closes) a fresh engine.
+                service.ingest([[30, 10, 30, 10]] * 8)
 
-            monkeypatch.setattr(AuditEngine, "close", slow_close)
+                async with _Heartbeat() as heartbeat:
+                    published = await service.resolve_now()
 
-            async with _Heartbeat() as heartbeat:
-                await service.stop()
-
-            assert not service.worker_running
-            assert heartbeat.max_gap < MAX_TICK_GAP, (
-                f"event loop stalled {heartbeat.max_gap:.3f}s during "
-                "stop(); engine shutdown must run via asyncio.to_thread"
-            )
+                assert published.version == 1
+                assert len(closes) == 1
+                assert heartbeat.max_gap < MAX_TICK_GAP, (
+                    f"event loop stalled {heartbeat.max_gap:.3f}s during "
+                    "resolve; engine shutdown must stay on the worker "
+                    "thread that solved"
+                )
 
         asyncio.run(main())

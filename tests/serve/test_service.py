@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.engine import AuditEngine
 from repro.serve import AuditService, ServeConfig, model_fingerprint
 
 
@@ -179,8 +180,8 @@ class TestDrift:
                 published = await service.resolve_now()
                 # No alerts ingested: the estimator still reports the
                 # prior model, so the republish lands on the same key
-                # with a bumped version — and the memoized engine result
-                # makes it bitwise-identical.
+                # with a bumped version — and replaying the stored
+                # result makes it bitwise-identical.
                 assert published.fingerprint == old.fingerprint
                 assert published.version == old.version + 1
                 assert published.result is old.result
@@ -215,6 +216,20 @@ class TestDrift:
         asyncio.run(main())
 
 
+@pytest.fixture()
+def built_engines(monkeypatch):
+    """Every :class:`AuditEngine` constructed while the test runs."""
+    built = []
+    real_init = AuditEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AuditEngine, "__init__", counting_init)
+    return built
+
+
 class TestWarmEngines:
     def test_same_model_reuses_memoized_result(self, make_service):
         async def main():
@@ -222,23 +237,65 @@ class TestWarmEngines:
                 first = await service.resolve_now()
                 second = await service.resolve_now()
                 assert second.result is first.result
-                with service._engines_lock:
-                    assert len(service._engines) == 1
 
         asyncio.run(main())
 
-    def test_engine_bound_is_enforced(self, make_service):
+    def test_old_key_republishes_without_an_engine(
+        self, make_service, built_engines
+    ):
+        # The store keeps every published key, so a model that drifts
+        # back to content published more than four models ago replays
+        # its stored result instead of solving again.
+
         async def main():
-            async with make_service() as service:
-                for scale in (10, 20, 30, 40, 50):
-                    service.ingest([[scale, scale, scale, scale]] * 2)
-                    await service.resolve_now()
-                with service._engines_lock:
-                    assert (
-                        len(service._engines) <= AuditService.MAX_ENGINES
-                    )
+            async with make_service(auto_resolve=False) as service:
+                published = {}
+                for scale in (10, 20, 30, 40, 50, 60):
+                    # A full window of equal rows: the refit is the same
+                    # point-mass content whenever a scale repeats.
+                    service.ingest([[scale] * 4] * 8)
+                    published[scale] = await service.resolve_now()
+                assert len(built_engines) == 7  # initial + six new keys
+                service.ingest([[10] * 4] * 8)
+                again = await service.resolve_now()
+                assert len(built_engines) == 7
+                assert again.key == published[10].key
+                assert again.version == published[10].version + 1
+                assert again.result is published[10].result
 
         asyncio.run(main())
+
+    def test_engines_close_before_the_solve_returns(
+        self, make_service, built_engines, monkeypatch
+    ):
+        closed = set()
+        real_close = AuditEngine.close
+
+        def recording_close(self):
+            real_close(self)
+            closed.add(id(self))
+
+        monkeypatch.setattr(AuditEngine, "close", recording_close)
+        open_at_return = []
+        real_solve = AuditService._solve_blocking
+
+        def checked_solve(self, *args):
+            result = real_solve(self, *args)
+            open_at_return.append(
+                [e for e in built_engines if id(e) not in closed]
+            )
+            return result
+
+        monkeypatch.setattr(AuditService, "_solve_blocking", checked_solve)
+
+        async def main():
+            async with make_service(auto_resolve=False) as service:
+                service.ingest([[30, 10, 30, 10]] * 8)
+                await service.resolve_now()
+
+        asyncio.run(main())
+        assert len(built_engines) == 2  # initial policy + the drifted model
+        assert open_at_return == [[], []]
 
 
 class TestServeConfig:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributions import JointCountModel
 from repro.sim import AuditSimulator, SimConfig, simulate
 from tests.conftest import make_tiny_game
 
@@ -37,9 +38,8 @@ class TestDeterminism:
             estimator="rolling-empirical",
             estimator_options={"min_periods": 2},
         )
-        with simulator:
-            first = simulator.run()
-            second = simulator.run()
+        first = simulator.run()
+        second = simulator.run()
         assert first.records == second.records
 
     def test_different_seed_diverges(self, stationary):
@@ -178,14 +178,35 @@ class TestBudgetCarryover:
 class TestEngineCache:
     def test_eviction_is_lru_not_fifo(self):
         game = make_tiny_game(budget=3.0)
-        with AuditSimulator(game, solver_options=FAST) as simulator:
-            model = game.counts
-            hot = simulator._engine_for(model, 3.0)
-            # Cycle through more budgets than the cache holds, touching
-            # the hot engine between insertions.
-            for extra in (4.0, 5.0, 6.0, 7.0, 8.0):
-                simulator._engine_for(model, extra)
-                assert simulator._engine_for(model, 3.0) is hot
+        simulator = AuditSimulator(game, solver_options=FAST)
+        model = game.counts
+        hot, _, _, memoized = simulator._solve(model, 3.0)
+        assert not memoized
+        # Cycle through more budgets than the memo holds, touching the
+        # hot budget between insertions.
+        for extra in (4.0, 5.0, 6.0, 7.0, 8.0):
+            simulator._solve(model, extra)
+            result, _, cache_hits, memoized = simulator._solve(model, 3.0)
+            assert memoized
+            assert result is hot
+            assert cache_hits == 0
+
+    def test_equal_content_twin_replays_the_solve(self):
+        # The memo keys on model content, not object identity: a refit
+        # that reproduces an earlier model replays its solve.
+        game = make_tiny_game(budget=3.0)
+        simulator = AuditSimulator(game, solver_options=FAST)
+        first, evaluation, _, memoized = simulator._solve(
+            game.counts, 3.0
+        )
+        assert not memoized
+        twin = JointCountModel(list(game.counts.marginals))
+        assert twin is not game.counts
+        result, replayed, cache_hits, memoized = simulator._solve(twin, 3.0)
+        assert memoized
+        assert result is first
+        assert replayed is evaluation
+        assert cache_hits == 0
 
 
 class TestSimConfig:

@@ -377,6 +377,26 @@ class TestAdversarialLPs:
             ours.objective_value, abs=1e-7
         )
 
+    def test_emr_master_never_re_enters_a_basic_column(self):
+        # A basic column's reduced cost can round below -tol; entering
+        # it self-pivots, and phase 1 of an EMR ISHM master then stalled
+        # at objective 1.0 until the iteration limit.
+        from repro.datasets import rea_a
+        from repro.engine import AuditEngine
+
+        runs = {}
+        for backend in ("scipy", "simplex"):
+            with AuditEngine(rea_a(budget=50), backend=backend) as engine:
+                runs[backend] = engine.solve(
+                    "ishm", step_size=0.5, max_probes=40
+                )
+        np.testing.assert_array_equal(
+            runs["simplex"].thresholds, runs["scipy"].thresholds
+        )
+        assert runs["simplex"].objective == pytest.approx(
+            runs["scipy"].objective, abs=1e-9
+        )
+
 
 class TestFeasibilityGate:
     """scipy's post-solve check, applied to a reported optimum."""
