@@ -7,8 +7,8 @@ its rows.  Three grid sizes exist:
   in minutes;
 * full — the paper's exact grids; enable with ``REPRO_FULL=1``;
 * smoke — minimal grids (tiny games, one repetition) so CI can exercise
-  every benchmark path, including parallel pricing, in seconds; enable
-  with ``REPRO_SMOKE=1`` (wins over ``REPRO_FULL``).
+  every benchmark path in seconds; enable with ``REPRO_SMOKE=1`` (wins
+  over ``REPRO_FULL``).
 
 Benchmarks select grids with :func:`pick`, e.g.
 ``pick(smoke=(0.5,), fast=(0.1, 0.3), full=FULL_STEP_SIZES)``.

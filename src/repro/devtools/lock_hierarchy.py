@@ -16,7 +16,7 @@ Current hierarchy, outermost first::
 
     rank  5   AuditService._resolve_lock   (asyncio; serializes re-solves)
     rank 20   AuditEngine._lock            (scenario/solution-cache maps)
-    rank 30   FixedSolveCache._lock        (solution memo + executor)
+    rank 30   FixedSolveCache._lock        (solution memo + solvers)
     rank 40   PolicyStore._lock            (published-policy map; leaf)
     rank 50   MetricsRegistry._lock        (telemetry instruments; leaf)
     rank 60   FaultPlan._lock              (injection counters; leaf)
@@ -81,7 +81,7 @@ LOCKS: tuple[LockSpec, ...] = (
         owner="FixedSolveCache",
         attr="_lock",
         kind="threading",
-        guards="solution memo, counters and executor of one cache",
+        guards="solution memo, counters and solvers of one cache",
     ),
     LockSpec(
         name="store",

@@ -341,7 +341,7 @@ class RngDisciplineRule(Rule):
         "random in library code"
     )
     invariant = (
-        "determinism guarantees (workers>1 == workers=1, warm == cold) "
+        "determinism guarantees (warm == cold, seeded fault replay) "
         "require rng threaded as a seeded np.random.Generator parameter"
     )
     domains = frozenset({"src"})
@@ -442,7 +442,7 @@ class NondeterministicReductionRule(Rule):
         "kernel modules"
     )
     invariant = (
-        "batched == serial and workers>1 == workers=1 require "
+        "batched == serial and warm == cold require "
         "order-independent reductions (the PR-4 pairwise standard)"
     )
     domains = frozenset({"src"})

@@ -70,12 +70,8 @@ def _solve_ishm(
     fixed_solver: FixedSolver | None = None,
 ) -> SolveResult:
     started = time.perf_counter()
-    owned_cache = None
     if fixed_solver is None:
-        if cache is None:
-            # One-shot dispatch (no engine): the throwaway cache must
-            # not leak its worker pool past this call.
-            cache = owned_cache = FixedSolveCache(game, scenarios)
+        cache = cache or FixedSolveCache(game, scenarios)
         # One holder reaches the pricer through its factory and the run
         # through its arguments: ISHM keeps it on the incumbent, the
         # pricer screens each round's probes against it.
@@ -84,27 +80,22 @@ def _solve_ishm(
             method=config.inner,
             backend=config.backend,
             seed=config.seed,
-            workers=config.workers,
             screen=screen,
         )
         solver_args = {"batch_solver": batch_solver, "screen": screen}
     else:
         solver_args = {"solver": fixed_solver}
-    try:
-        raw = run_iterative_shrink(
-            game,
-            scenarios,
-            step_size=config.step_size,
-            initial_thresholds=config.initial_thresholds,
-            improvement_tol=config.improvement_tol,
-            max_probes=config.max_probes,
-            quantize=config.quantize,
-            quantum=config.quantum,
-            **solver_args,
-        )
-    finally:
-        if owned_cache is not None:
-            owned_cache.close()
+    raw = run_iterative_shrink(
+        game,
+        scenarios,
+        step_size=config.step_size,
+        initial_thresholds=config.initial_thresholds,
+        improvement_tol=config.improvement_tol,
+        max_probes=config.max_probes,
+        quantize=config.quantize,
+        quantum=config.quantum,
+        **solver_args,
+    )
     return finalize_result(
         game,
         scenarios,
@@ -137,28 +128,20 @@ def _solve_bruteforce(
     cache: FixedSolveCache | None = None,
 ) -> SolveResult:
     started = time.perf_counter()
-    owned_cache = None
-    if cache is None:
-        cache = owned_cache = FixedSolveCache(game, scenarios)
-    try:
-        raw = run_solve_optimal(
-            game,
-            scenarios,
+    cache = cache or FixedSolveCache(game, scenarios)
+    raw = run_solve_optimal(
+        game,
+        scenarios,
+        backend=config.backend,
+        max_vectors=config.max_vectors,
+        enforce_budget_floor=config.enforce_budget_floor,
+        tie_break=config.tie_break,
+        batch_solver=cache.batch_solver(
+            method="enumeration",
             backend=config.backend,
-            max_vectors=config.max_vectors,
-            enforce_budget_floor=config.enforce_budget_floor,
-            tie_break=config.tie_break,
-            batch_solver=cache.batch_solver(
-                method="enumeration",
-                backend=config.backend,
-                seed=config.seed,
-                workers=config.workers,
-            ),
-            chunk_size=config.chunk_size,
-        )
-    finally:
-        if owned_cache is not None:
-            owned_cache.close()
+            seed=config.seed,
+        ),
+    )
     return finalize_result(
         game,
         scenarios,
@@ -312,16 +295,13 @@ def _solve_random_threshold(
     fixed_solver: FixedSolver | None = None,
 ) -> SolveResult:
     started = time.perf_counter()
-    owned_cache = None
     if fixed_solver is None:
-        if cache is None:
-            cache = owned_cache = FixedSolveCache(game, scenarios)
+        cache = cache or FixedSolveCache(game, scenarios)
         solver_args = {
             "batch_solver": cache.batch_solver(
                 method=config.inner,
                 backend=config.backend,
                 seed=config.seed,
-                workers=config.workers,
             )
         }
     else:
@@ -333,11 +313,7 @@ def _solve_random_threshold(
         rng=np.random.default_rng(config.seed),
         **solver_args,
     )
-    try:
-        outcome = baseline.run()
-    finally:
-        if owned_cache is not None:
-            owned_cache.close()
+    outcome = baseline.run()
     # The headline objective is the paper's aggregate (mean over draws);
     # the returned policy is the best single draw.
     return finalize_result(

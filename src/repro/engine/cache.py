@@ -20,23 +20,19 @@ identical to what a cold engine would compute.
 Beyond the single-vector :meth:`FixedSolveCache.solver` closure, the
 cache exposes batched pricing: :meth:`FixedSolveCache.batch_solver` /
 :meth:`FixedSolveCache.price_batch` dedupe a ``(B, T)`` stack of
-candidate vectors against the memo, build the remaining detection
-kernels vectorized, and — for the deterministic enumeration method with
-``workers > 1`` — fan the leftover master LP solves out over a process
-pool (:mod:`repro.engine.parallel`).  Results come back in input order
-and are bit-for-bit identical to the ``workers=1`` serial path.
+candidate vectors against the memo and price the remaining misses
+serially, in input order.
 
-Because enumeration solvers are memoized per ``(backend, options)``
-(here and inside each pool worker), every vector priced through one
-shares that solver's LP skeleton and representative-row set — the
-structurally identical master LPs of a sweep are assembled from one set
-of static blocks instead of being rebuilt per vector (see
+Because the enumeration solver is memoized per ``(backend, options)``,
+every vector priced through one cache shares that solver's LP skeleton,
+representative-row set and ``Pal`` entry store — the structurally
+identical master LPs of a sweep are assembled from one set of static
+blocks instead of being rebuilt per vector (see
 :class:`repro.solvers.master.MasterSkeleton`).
 
 A memo entry is either a solution or a bound.  A batch pricer built
 with a :class:`~repro.solvers.ishm.ProbeScreen` screens each miss
-against the holder's incumbent (read once per batch, and shipped with
-every pool task) and may store a
+against the holder's incumbent (read once per batch) and may store a
 :class:`~repro.solvers.enumeration.Screened` lower bound instead of a
 solution.  A stored bound answers a later lookup only for a screening
 caller whose current cutoff it still reaches; any other caller —
@@ -47,13 +43,11 @@ prices the vector afresh and the new result replaces the bound.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .. import obs
 from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
 from ..solvers.enumeration import Incumbent, Screened
@@ -65,7 +59,6 @@ from ..solvers.ishm import (
     make_fixed_solver,
 )
 from ..solvers.master import FixedThresholdSolution
-from . import parallel
 
 __all__ = ["CacheInfo", "FixedSolveCache"]
 
@@ -106,14 +99,14 @@ class FixedSolveCache:
     still deduplicated, but results never depend on what the engine
     solved earlier, preserving the equal-seed ⇒ equal-result guarantee.
 
-    The cache is **thread-safe**: memo mutation, hit/miss counters,
-    solver construction and executor lifecycle all run under one
-    reentrant lock, so a service can share one engine (and therefore
-    one cache) across request-handler and background-worker threads.
-    The underlying enumeration solver keeps mutable per-solve state
-    (LP skeletons, subset tables), so pricing through a shared solver
-    is *serialized* by the same lock — concurrency across threads is
-    for safety, not speedup; use ``workers > 1`` for parallel pricing.
+    The cache is **thread-safe**: memo mutation, hit/miss counters and
+    solver construction all run under one reentrant lock, so a service
+    can share one engine (and therefore one cache) across
+    request-handler and background-worker threads.  The underlying
+    enumeration solver keeps mutable per-solve state (LP skeletons,
+    ``Pal`` entries), so pricing through a shared solver is
+    *serialized* by the same lock — concurrency across threads is for
+    safety, not speedup.
     """
 
     def __init__(self, game: AuditGame, scenarios: ScenarioSet) -> None:
@@ -121,8 +114,6 @@ class FixedSolveCache:
         self.scenarios = scenarios
         self._solvers: dict[tuple, FixedSolver] = {}
         self._solutions: dict[tuple, FixedThresholdSolution | Screened] = {}
-        self._executor = None
-        self._executor_workers = 0
         # Rank 30 ("cache") in repro/devtools/lock_hierarchy.py: may be
         # taken under the engine lock, must call back into nothing
         # above it.
@@ -138,6 +129,28 @@ class FixedSolveCache:
                 else "cggs"
             )
         return method
+
+    def _shared_solver(
+        self, backend: str, options: tuple[tuple[str, object], ...]
+    ) -> FixedSolver:
+        """The one enumeration solver per ``(backend, options)``.
+
+        Callers hold the lock.  :meth:`solver` and :meth:`batch_solver`
+        both price through it, so they share its LP skeleton and
+        ``Pal`` entry store as well as the memo.
+        """
+        key = ("enumeration", backend, options)
+        solver = self._solvers.get(key)
+        if solver is None:
+            solver = make_fixed_solver(
+                self.game,
+                self.scenarios,
+                method="enumeration",
+                backend=backend,
+                **dict(options),
+            )
+            self._solvers[key] = solver
+        return solver
 
     def solver(
         self,
@@ -158,19 +171,9 @@ class FixedSolveCache:
             # Deterministic: share the solver and its solutions across
             # calls, and drop the seed so runs with different seeds
             # still share solutions.
-            solver_key = (method, backend, options)
             solution_scope = (method, backend, options)
             with self._lock:
-                base = self._solvers.get(solver_key)
-                if base is None:
-                    base = make_fixed_solver(
-                        self.game,
-                        self.scenarios,
-                        method=method,
-                        backend=backend,
-                        **kwargs,
-                    )
-                    self._solvers[solver_key] = base
+                base = self._shared_solver(backend, options)
             solutions = self._solutions
         else:
             # Stateful (CGGS): fresh solver + a memo local to this call,
@@ -214,8 +217,6 @@ class FixedSolveCache:
         method: str = "auto",
         backend: str = "scipy",
         seed: int = 0,
-        workers: int = 1,
-        chunk_size: int | None = None,
         screen: ProbeScreen | None = None,
         **kwargs: object,
     ) -> BatchFixedSolver:
@@ -234,14 +235,9 @@ class FixedSolveCache:
         (see the module docstring for what the memo keeps).  Other
         methods ignore the holder.
 
-        With ``workers > 1`` and the deterministic enumeration method,
-        the remaining misses fan out over a process pool in chunks
-        (``chunk_size`` vectors per task; default
-        :func:`repro.engine.parallel.default_chunk_size`), and the
-        results are gathered back in submission order — bit-for-bit
-        identical to ``workers=1``, screened rows included.  CGGS is
-        stateful, so it always prices serially in input order regardless
-        of ``workers``.
+        Misses are priced serially, in input order, through the same
+        shared enumeration solver as :meth:`solver`; CGGS goes through
+        one :meth:`solver` closure per batch pricer.
         """
         method = self._resolve(method)
         if method != "enumeration":
@@ -266,12 +262,10 @@ class FixedSolveCache:
             keys = [
                 scope + (tuple(np.round(b, 9).tolist()),) for b in arr
             ]
-            # One incumbent for the whole batch, whichever process
-            # prices which vector.
+            # One incumbent for the whole batch.
             incumbent = None if screen is None else screen.incumbent
             # One lock span for dedupe + solve + insert: a concurrent
-            # batch must not observe a half-filled memo, and the pool
-            # executor is single-ownership state.
+            # batch must not observe a half-filled memo.
             with self._lock:
                 fresh: dict[tuple, np.ndarray] = {}
                 for key, b in zip(keys, arr, strict=True):
@@ -283,25 +277,12 @@ class FixedSolveCache:
                         self.misses += 1
                         fresh[key] = b
                 if fresh:
+                    base = self._shared_solver(backend, options)
+                    # Stacking copies the misses, so no memoized
+                    # solution aliases the caller's array.
                     stack = np.stack(list(fresh.values()))
-                    if workers > 1:
-                        chunk = (
-                            chunk_size
-                            if chunk_size is not None
-                            else parallel.default_chunk_size(
-                                len(stack), workers
-                            )
-                        )
-                        solutions = self._price_resilient(
-                            workers, backend, options, stack, chunk,
-                            incumbent,
-                        )
-                    else:
-                        solutions = self._price_serial(
-                            backend, options, stack, incumbent
-                        )
-                    for key, solution in zip(fresh, solutions, strict=True):
-                        self._solutions[key] = solution
+                    for key, b in zip(fresh, stack, strict=True):
+                        self._solutions[key] = base(b, incumbent)
                 return [self._solutions[key] for key in keys]
 
         return price
@@ -313,8 +294,6 @@ class FixedSolveCache:
         method: str = "auto",
         backend: str = "scipy",
         seed: int = 0,
-        workers: int = 1,
-        chunk_size: int | None = None,
         **kwargs: object,
     ) -> list[FixedThresholdSolution]:
         """One-shot convenience wrapper around :meth:`batch_solver`
@@ -323,8 +302,6 @@ class FixedSolveCache:
             method=method,
             backend=backend,
             seed=seed,
-            workers=workers,
-            chunk_size=chunk_size,
             **kwargs,
         )(vectors)
 
@@ -338,107 +315,6 @@ class FixedSolveCache:
                 f"{self.game.n_types}), got {arr.shape}"
             )
         return arr
-
-    def _price_resilient(
-        self,
-        workers: int,
-        backend: str,
-        options: tuple[tuple[str, object], ...],
-        stack: np.ndarray,
-        chunk: int,
-        incumbent: Incumbent | None,
-    ) -> list[FixedThresholdSolution | Screened]:
-        """Parallel pricing with pool-crash degradation (lock held).
-
-        A dead worker (OOM kill, segfault — or an injected
-        ``engine.parallel.pool`` fault) raises
-        :class:`~concurrent.futures.BrokenExecutor`.  First occurrence:
-        discard the pool, rebuild once, retry.  Second: fall back to
-        pricing serially through the same memoized enumeration solver
-        the ``workers=1`` path uses, so the answers stay bit-identical.
-        """
-        for rebuilds in range(2):
-            try:
-                return parallel.price_parallel(
-                    self._ensure_executor(workers),
-                    backend,
-                    options,
-                    stack,
-                    chunk,
-                    incumbent,
-                )
-            except BrokenExecutor:
-                self._discard_executor()
-                if rebuilds == 0:
-                    obs.counter("repro_engine_pool_rebuilds_total")
-                else:
-                    obs.counter("repro_engine_pool_serial_fallbacks_total")
-        return self._price_serial(backend, options, stack, incumbent)
-
-    def _price_serial(
-        self,
-        backend: str,
-        options: tuple[tuple[str, object], ...],
-        stack: np.ndarray,
-        incumbent: Incumbent | None,
-    ) -> list[FixedThresholdSolution | Screened]:
-        """Serial pricing through the shared enumeration solver.
-
-        Uses the same ``(method, backend, options)`` solver memo as
-        :meth:`solver`'s enumeration path: this is the ``workers=1``
-        path, and the pool's fallback gets exactly its results.
-        """
-        solver_key = ("enumeration", backend, options)
-        base = self._solvers.get(solver_key)
-        if base is None:
-            base = make_fixed_solver(
-                self.game,
-                self.scenarios,
-                method="enumeration",
-                backend=backend,
-                **dict(options),
-            )
-            self._solvers[solver_key] = base
-        return [base(b, incumbent) for b in stack]
-
-    def _discard_executor(self) -> None:
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-                self._executor_workers = 0
-
-    def _ensure_executor(self, workers: int):
-        with self._lock:
-            if self._executor is not None and (
-                self._executor_workers != workers
-                # A pool whose worker died (OOM kill, crash) stays
-                # broken forever; rebuild instead of re-raising on
-                # every batch.
-                or getattr(self._executor, "_broken", False)
-            ):
-                self._executor.shutdown(wait=True)
-                self._executor = None
-            if self._executor is None:
-                self._executor = parallel.make_executor(
-                    self.game, self.scenarios, workers
-                )
-                self._executor_workers = workers
-            return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; memo stays usable)."""
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-                self._executor_workers = 0
-
-    def __enter__(self) -> "FixedSolveCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def info(self) -> CacheInfo:
         with self._lock:

@@ -211,12 +211,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ISHMConfig(SolverConfig):
-    """Algorithm 2 (Iterative Shrink Heuristic Method) options.
-
-    ``workers > 1`` prices each probe round's candidate batch over a
-    process pool (enumeration inner method only; results bit-for-bit
-    equal to ``workers=1``).
-    """
+    """Algorithm 2 (Iterative Shrink Heuristic Method) options."""
 
     step_size: float = 0.1
     inner: str = "auto"  # fixed-threshold master: enumeration/cggs/auto
@@ -225,22 +220,15 @@ class ISHMConfig(SolverConfig):
     improvement_tol: float = 1e-9
     max_probes: int | None = None
     initial_thresholds: tuple[float, ...] | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
 class BruteForceConfig(SolverConfig):
-    """Exact OAP search over the integer threshold grid (Table III).
-
-    ``workers > 1`` prices the grid in parallel chunks of
-    ``chunk_size`` vectors (identical optimum and tie-breaks).
-    """
+    """Exact OAP search over the integer threshold grid (Table III)."""
 
     max_vectors: int = 500_000
     enforce_budget_floor: bool = True
     tie_break: str = "smallest"
-    workers: int = 1
-    chunk_size: int = 64
 
 
 @dataclass(frozen=True)
@@ -288,15 +276,10 @@ class RandomOrderConfig(_FixedThresholdConfig):
 
 @dataclass(frozen=True)
 class RandomThresholdConfig(SolverConfig):
-    """Baseline: random thresholds, LP-optimal orderings per draw.
-
-    ``workers > 1`` prices all draws as one batch over a process pool
-    (enumeration inner method only; identical losses and best draw).
-    """
+    """Baseline: random thresholds, LP-optimal orderings per draw."""
 
     n_draws: int = 100
     inner: str = "auto"
-    workers: int = 1
 
 
 @dataclass(frozen=True)

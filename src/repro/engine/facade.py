@@ -66,7 +66,7 @@ class AuditEngine:
     memo, so the serve layer can share one engine across request
     handlers and background re-solve threads.  Concurrent pricing
     through one cache serializes (the underlying solvers keep mutable
-    state); use ``workers > 1`` for actual parallelism.
+    state).
 
     Parameters
     ----------
@@ -81,11 +81,8 @@ class AuditEngine:
     seed:
         Default seed for scenario generation and solver randomness.
     workers:
-        Default worker-process count for batched threshold pricing
-        (:meth:`price_batch` and solver configs with a ``workers``
-        field).  1 (the default) prices serially; >1 fans enumeration
-        master solves out over a process pool with results guaranteed
-        bit-for-bit equal to the serial path.
+        Must be 1; any other value raises ``ValueError``.  Pricing is
+        serial and the value is not used.
     n_samples, prefer_exact_below:
         Defaults for :meth:`scenario_set`.
     """
@@ -100,12 +97,12 @@ class AuditEngine:
         n_samples: int = 2000,
         prefer_exact_below: int = 100_000,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        # Accepted only because perfbench still passes workers=1.
+        if workers != 1:
+            raise ValueError(f"workers must be 1, got {workers}")
         self.game = game
         self.backend = backend
         self.seed = seed
-        self.workers = workers
         self.n_samples = n_samples
         self.prefer_exact_below = prefer_exact_below
         self._scenarios: dict[tuple, ScenarioSet] = {}
@@ -173,10 +170,7 @@ class AuditEngine:
                 self._caches[id(scenarios)] = cache
                 while len(self._caches) > self.MAX_SOLUTION_CACHES:
                     # Evict the oldest (dict keeps insertion order).
-                    evicted = self._caches.pop(
-                        next(iter(self._caches))
-                    )
-                    evicted.close()
+                    self._caches.pop(next(iter(self._caches)))
             return cache
 
     # ------------------------------------------------------------------
@@ -224,11 +218,6 @@ class AuditEngine:
                 # named neither spelling.
                 merged.setdefault("backend", self.backend)
             merged.setdefault("seed", self.seed)
-            if any(
-                f.name == "workers"
-                for f in dataclasses.fields(spec.config_cls)
-            ):
-                merged.setdefault("workers", self.workers)
             cfg = registry.make_config(spec, merged)
         else:
             cfg = registry.make_config(spec, config, **overrides)
@@ -253,8 +242,6 @@ class AuditEngine:
         method: str = "auto",
         backend: str | None = None,
         seed: int | None = None,
-        workers: int | None = None,
-        chunk_size: int | None = None,
         scenarios: ScenarioSet | None = None,
         **kwargs: object,
     ) -> list[FixedThresholdSolution]:
@@ -263,11 +250,8 @@ class AuditEngine:
         ``vectors`` is a ``(B, T)`` array (or one vector); the result
         holds one fixed-threshold master solution per row, in input
         order.  Already-priced vectors come from the cache; the rest are
-        solved — in parallel over ``workers`` processes for the
-        deterministic enumeration method, serially otherwise — and
-        cached for later :meth:`solve`/:meth:`price_batch` calls.
-        ``workers > 1`` is guaranteed to return bit-for-bit the same
-        solutions as ``workers=1``.
+        solved serially, in input order, and cached for later
+        :meth:`solve`/:meth:`price_batch` calls.
         """
         if scenarios is None:
             scenarios = self.scenario_set()
@@ -278,8 +262,6 @@ class AuditEngine:
                 method=method,
                 backend=self.backend if backend is None else backend,
                 seed=self.seed if seed is None else seed,
-                workers=self.workers if workers is None else workers,
-                chunk_size=chunk_size,
                 **kwargs,
             )
         obs.counter(
@@ -324,17 +306,17 @@ class AuditEngine:
     def clear_caches(self) -> None:
         """Drop every cached scenario set and solution."""
         with self._lock:
-            self.close()
             self._scenarios.clear()
             self._caches.clear()
             self._scenario_hits = 0
             self._scenario_misses = 0
 
     def close(self) -> None:
-        """Shut down every cache's worker pool (caches stay usable)."""
-        with self._lock:
-            for cache in self._caches.values():
-                cache.close()
+        """Release nothing: the engine holds no external resources.
+
+        Kept, with the context-manager protocol, so callers can scope
+        an engine with ``with AuditEngine(...)``.  Caches stay usable.
+        """
 
     def __enter__(self) -> "AuditEngine":
         return self

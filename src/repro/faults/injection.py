@@ -1,8 +1,8 @@
 """Seeded, deterministic fault injection behind named points.
 
 Library boundaries register *injection points* — one
-``faults.point("engine.parallel.pool")`` call at each place a failure
-can realistically enter the system (worker pools, LP backends, the
+``faults.point("solvers.lp.scipy")`` call at each place a failure
+can realistically enter the system (engine solves, LP backends, the
 serve layer's background re-solve).  A :class:`FaultPlan` decides what
 happens there: nothing (the default), an injected latency, or an
 injected exception, chosen per point by probability or call index from
@@ -18,7 +18,7 @@ of an engine solve.  ``REPRO_FAULTS`` in the environment enables
 injection at import: ``1`` arms an empty plan, anything with a colon
 or semicolon is parsed as a plan spec (see :meth:`FaultPlan.parse`)::
 
-    REPRO_FAULTS="seed=7; engine.parallel.pool: exc=BrokenProcessPool, nth=1"
+    REPRO_FAULTS="seed=7; engine.solve: exc=RuntimeError, nth=1"
     REPRO_FAULTS="solvers.lp.scipy: p=0.25; serve.resolve: latency=0.05, exc=none"
 """
 
@@ -28,7 +28,6 @@ import contextlib
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterable, Iterator
@@ -62,16 +61,6 @@ KNOWN_POINTS: tuple[tuple[str, str, str], ...] = (
         "entry of every registry-dispatched engine solve",
     ),
     (
-        "engine.parallel.pool",
-        "repro.engine.parallel",
-        "parent-side pricing fan-out (a raise here models a dead pool)",
-    ),
-    (
-        "engine.parallel.worker",
-        "repro.engine.parallel",
-        "worker-side chunk pricing inside the process pool",
-    ),
-    (
         "solvers.lp.scipy",
         "repro.solvers.lp.scipy_backend",
         "every HiGHS LP call (failure falls back to the simplex backend)",
@@ -97,7 +86,6 @@ _EXCEPTIONS: dict[str, type[BaseException]] = {
     "TimeoutError": TimeoutError,
     "OSError": OSError,
     "MemoryError": MemoryError,
-    "BrokenProcessPool": BrokenProcessPool,
 }
 
 

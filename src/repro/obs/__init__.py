@@ -8,9 +8,8 @@ Four pieces, one import surface:
   (``REPRO_OBS=1`` or :func:`enable`) behind free-when-disabled
   module-level writers;
 * :mod:`~repro.obs.spans` — ``with span("engine.solve"):`` nested
-  wall-time spans whose contextvar parent chain survives async tasks,
-  context-copying thread launchers, and (via explicit capture/adopt)
-  the process-pool fan-out in :mod:`repro.engine.parallel`;
+  wall-time spans whose contextvar parent chain survives async tasks
+  and context-copying thread launchers;
 * :mod:`~repro.obs.prometheus` — deterministic text exposition of a
   registry (the serve layer's ``GET /metrics`` body);
 * :mod:`~repro.obs.run_table` — the canonical per-(run, repetition)
@@ -47,7 +46,7 @@ from .run_table import (
     read_rows,
     scan_rows,
 )
-from .spans import SPAN_HISTOGRAM, adopt_span_path, current_span_path, span
+from .spans import SPAN_HISTOGRAM, current_span_path, span
 
 __all__ = [
     "CONTENT_TYPE",
@@ -58,7 +57,6 @@ __all__ = [
     "RunTableScan",
     "RunTableWriter",
     "SPAN_HISTOGRAM",
-    "adopt_span_path",
     "config_hash",
     "counter",
     "current_span_path",

@@ -11,12 +11,7 @@ stack frames — across suspension points:
   context per task), so concurrent requests cannot interleave chains;
 * **threads** entered through context-copying launchers
   (``asyncio.to_thread``, ``contextvars.copy_context().run``) inherit
-  the chain of their submitter;
-* **process pools** cannot share a contextvar — the fan-out in
-  :mod:`repro.engine.parallel` captures :func:`current_span_path` at
-  submit time, ships it with the task, and the worker re-roots itself
-  with :func:`adopt_span_path` so spans recorded worker-side carry the
-  parent chain of the submitting solve.
+  the chain of their submitter.
 
 When telemetry is disabled (:func:`repro.obs.metrics.enabled` false),
 :func:`span` returns one shared no-op context manager: no contextvar
@@ -32,7 +27,6 @@ from . import metrics
 
 __all__ = [
     "SPAN_HISTOGRAM",
-    "adopt_span_path",
     "current_span_path",
     "span",
 ]
@@ -106,30 +100,3 @@ def span(name: str, **attrs: object):
         return _NOOP
     return _Span(name, attrs)
 
-
-class _AdoptedPath:
-    """Re-root this execution context's span chain (see module doc)."""
-
-    __slots__ = ("_path", "_token")
-
-    def __init__(self, path) -> None:
-        self._path = tuple(path)
-
-    def __enter__(self) -> tuple[str, ...]:
-        self._token = _SPAN_PATH.set(self._path)
-        return self._path
-
-    def __exit__(self, *exc_info: object) -> bool:
-        _SPAN_PATH.reset(self._token)
-        return False
-
-
-def adopt_span_path(path) -> _AdoptedPath:
-    """Adopt a captured span chain (cross-process/-thread propagation).
-
-    The submitter captures :func:`current_span_path`; the worker wraps
-    its task body in ``with adopt_span_path(path):`` so spans it opens
-    nest under the submitter's chain.  Cheap and side-effect-free
-    beyond the contextvar write, so it is safe to use unconditionally.
-    """
-    return _AdoptedPath(path)

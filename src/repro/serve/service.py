@@ -65,8 +65,11 @@ class ServeConfig:
         Policy versions retained per store key for stale reads.
     max_batch:
         Upper bound on rows accepted per ``/score`` / ``/alerts`` call.
-    solver_seed, n_samples, backend, workers:
+    solver_seed, n_samples, backend:
         Engine construction parameters (as in the simulator).
+    workers:
+        Must be 1; any other value raises ``ValueError``.  It is not
+        used.
     resolve_attempts, resolve_backoff_seconds, resolve_timeout_seconds:
         Retry surface of every background re-solve: total attempts,
         base of the deterministic exponential backoff between them, and
@@ -99,6 +102,9 @@ class ServeConfig:
     breaker_reset_seconds: float = 30.0
 
     def __post_init__(self) -> None:
+        # Accepted only because perfbench still passes workers=1.
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers}")
         if self.drift_threshold < 0:
             raise ValueError(
                 f"drift_threshold must be >= 0, got {self.drift_threshold}"
@@ -691,9 +697,7 @@ class AuditService:
 
         A (fingerprint, budget) key that was ever published replays its
         stored result instead: the store keeps every key's latest
-        version, and solver determinism makes the replay exact.  The
-        engine is closed here, on the thread that solved with it, so
-        its shutdown never blocks the event loop.
+        version, and solver determinism makes the replay exact.
         """
         # First line, ahead of the store lookup: a 100%-failure chaos
         # plan must fail even re-solves of already-published keys.
@@ -706,7 +710,6 @@ class AuditService:
             self._game_for(model, budget),
             backend=cfg.backend,
             seed=cfg.solver_seed,
-            workers=cfg.workers,
             n_samples=cfg.n_samples,
         ) as engine:
             return engine.solve(cfg.solver, dict(cfg.solver_options))

@@ -124,7 +124,7 @@ class SimConfig:
     solver_seed:
         Seed for solver randomness (kept separate from the trajectory
         seed so re-solves never perturb the simulated world).
-    n_samples, backend, workers:
+    n_samples, backend:
         Engine construction parameters.
     """
 
@@ -144,7 +144,6 @@ class SimConfig:
     solver_seed: int = 0
     n_samples: int = 2000
     backend: str = "scipy"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_periods < 1:
@@ -305,7 +304,6 @@ class AuditSimulator:
             game,
             backend=cfg.backend,
             seed=cfg.solver_seed,
-            workers=cfg.workers,
             n_samples=cfg.n_samples,
         ) as engine:
             result = engine.solve(cfg.solver, dict(cfg.solver_options))

@@ -32,7 +32,7 @@ __all__ = [
 DEFAULT_MAX_VECTORS = 500_000
 
 #: Grid vectors priced per batch when a batched solver is used.
-DEFAULT_CHUNK_SIZE = 64
+GRID_CHUNK = 64
 
 
 def _grid_axes(game: AuditGame) -> list[range]:
@@ -92,7 +92,6 @@ def run_solve_optimal(
     batch_solver: Callable[
         [np.ndarray], "list[FixedThresholdSolution]"
     ] | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> BruteForceResult:
     """Exhaustively search integer thresholds; LP-optimal orderings per b.
 
@@ -116,17 +115,13 @@ def run_solve_optimal(
         (e.g. ISHM probes) are reused.
     batch_solver:
         Batched pricer taking a ``(B, T)`` stack and returning solutions
-        in input order (``FixedSolveCache.batch_solver``).  When given,
-        the feasible grid is priced in ``chunk_size`` slices instead of
-        one vector at a time; the incumbent/tie-break scan runs in grid
-        order either way, so the result is identical to the serial path.
-    chunk_size:
-        Grid vectors per batch in the ``batch_solver`` path.
+        in input order (``FixedSolveCache.batch_solver``).  The feasible
+        grid is priced in :data:`GRID_CHUNK`-vector slices either way;
+        the incumbent/tie-break scan runs in grid order, so the result
+        does not depend on the slicing.
     """
     if tie_break not in ("smallest", "first"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     total = threshold_grid_size(game)
     if total > max_vectors:
         raise ValueError(
@@ -175,7 +170,7 @@ def run_solve_optimal(
         if enforce_budget_floor and b.sum() < game.budget:
             continue
         chunk.append(b)
-        if len(chunk) >= chunk_size:
+        if len(chunk) >= GRID_CHUNK:
             scan(chunk)
             chunk = []
     if chunk:

@@ -17,15 +17,16 @@ a :class:`~repro.core.pal_table.PalEntryStore` that lives as long as the
 solver, so a vector's table sweeps only the ``(type, predecessor set)``
 entries no earlier vector's table computed — on the Table IV sweep,
 16,652 of 40,704.  The engine memoizes one solver per configuration
-(and each pool worker its own), and prices through it under the fixed
-solve cache's lock, so the store needs no lock of its own.
+and prices through it under the fixed solve cache's lock, so the store
+needs no lock of its own.
 
 Every solve also shares one *LP skeleton* per solver instance: the master
 problems of different threshold vectors are structurally identical (same
 game, same deduplicated row set, same ``|T|!`` columns), so the static
 constraint blocks, objective and bounds are built once and only the
-utility columns are filled per vector — the batch-pricing and parallel
-worker paths (which memoize solver instances) inherit this for free.
+utility columns are filled per vector — the engine's single-vector and
+batch-pricing paths (which share one memoized solver) inherit this for
+free.
 
 **Probe screening.**  Given an :class:`Incumbent` — another master's
 attack-row duals and a cutoff — :meth:`EnumerationSolver.solve` first
@@ -213,8 +214,7 @@ class EnumerationSolver:
         """Solve a ``(B, T)`` stack of threshold vectors, in input order.
 
         Every solve shares this solver's LP skeleton and row dedupe, and
-        the results are exactly ``[solve(b, incumbent) for b in batch]``
-        — the parallel pricing layer depends on that identity.
+        the results are exactly ``[solve(b, incumbent) for b in batch]``.
         """
         arr = np.asarray(thresholds_batch, dtype=np.float64)
         if arr.ndim != 2:

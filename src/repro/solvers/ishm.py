@@ -239,7 +239,8 @@ def run_iterative_shrink(
         solutions in input order).  When given, each probe round's
         candidate subset is priced as *one* batch — the engine passes
         :meth:`~repro.engine.cache.FixedSolveCache.batch_solver` here so
-        rounds fan out over its worker pool.  The search visits exactly
+        each round dedupes against its memo and screens its misses
+        against one incumbent read.  The search visits exactly
         the same vectors in the same round structure as the serial path,
         so results (and ``lp_calls``) are identical.  Mutually exclusive
         with ``solver``.

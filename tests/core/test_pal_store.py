@@ -254,10 +254,3 @@ class TestEngineDeterminism:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert results == serial
-
-    def test_workers_match_serial(self):
-        one = AuditEngine(syn_a(budget=10)).solve("ishm", step_size=0.1)
-        with AuditEngine(syn_a(budget=10)) as engine:
-            two = engine.solve("ishm", step_size=0.1, workers=2)
-        assert two.raw.screened > 0
-        assert ishm_digest(two) == ishm_digest(one)

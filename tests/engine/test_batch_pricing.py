@@ -1,10 +1,9 @@
-"""Batched threshold pricing: dedupe, fan-out, and serial identity.
+"""Batched threshold pricing: dedupe, the shared memo, and identity
+with single-vector pricing.
 
-The contract under test is the PR's headline guarantee: for
-enumeration-backed pricing, ``workers > 1`` (process-pool fan-out)
-returns bit-for-bit the same solutions,
-policies and probe counts as the serial ``workers = 1`` path at equal
-seed.
+For enumeration-backed pricing a batch returns bit-for-bit the same
+solutions, policies and probe counts as pricing its vectors one at a
+time, and its results enter the memo the single-vector closures read.
 """
 
 import numpy as np
@@ -73,92 +72,6 @@ class TestPriceBatch:
         with pytest.raises(ValueError, match="batch must have shape"):
             cache.price_batch(np.zeros((3, 5)))
 
-    def test_parallel_equals_serial(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        serial_cache = FixedSolveCache(tiny_game, tiny_scenarios)
-        serial = serial_cache.price_batch(batch, workers=1)
-        with FixedSolveCache(tiny_game, tiny_scenarios) as cache:
-            parallel = cache.price_batch(batch, workers=2)
-            assert cache.misses == len(
-                {tuple(b) for b in batch.tolist()}
-            )
-        for a, b in zip(serial, parallel, strict=True):
-            assert a.objective == b.objective
-            assert _policies_equal(a.policy, b.policy)
-            assert np.array_equal(
-                a.adversary_utilities, b.adversary_utilities
-            )
-
-    def test_parallel_results_enter_shared_memo(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        with FixedSolveCache(tiny_game, tiny_scenarios) as cache:
-            priced = cache.price_batch(batch, workers=2)
-            # The serial closure must now hit the pool-priced entries.
-            hit = cache.solver()(batch[0])
-            assert hit is priced[0]
-
-
-class TestWorkersIdentity:
-    """Acceptance: workers>1 == workers=1 (objective, policy, thresholds)."""
-
-    def test_ishm_identical_across_workers(self, tiny_game):
-        serial_engine = AuditEngine(tiny_game)
-        serial = serial_engine.solve("ishm", step_size=0.4)
-        with AuditEngine(tiny_game, workers=2) as engine:
-            parallel = engine.solve("ishm", step_size=0.4)
-        assert parallel.objective == serial.objective
-        assert np.array_equal(parallel.thresholds, serial.thresholds)
-        assert _policies_equal(parallel.policy, serial.policy)
-        assert (
-            parallel.diagnostics["lp_calls"]
-            == serial.diagnostics["lp_calls"]
-        )
-
-    def test_ishm_max_probes_identical_across_workers(self, tiny_game):
-        serial = AuditEngine(tiny_game).solve(
-            "ishm", step_size=0.4, max_probes=5
-        )
-        with AuditEngine(tiny_game, workers=2) as engine:
-            parallel = engine.solve("ishm", step_size=0.4, max_probes=5)
-        assert parallel.objective == serial.objective
-        assert np.array_equal(parallel.thresholds, serial.thresholds)
-        assert (
-            parallel.diagnostics["lp_calls"]
-            == serial.diagnostics["lp_calls"]
-        )
-
-    def test_bruteforce_identical_across_workers(self, tiny_game):
-        serial = AuditEngine(tiny_game).solve("bruteforce")
-        with AuditEngine(tiny_game, workers=2) as engine:
-            parallel = engine.solve("bruteforce", chunk_size=3)
-        assert parallel.objective == serial.objective
-        assert np.array_equal(parallel.thresholds, serial.thresholds)
-        assert _policies_equal(parallel.policy, serial.policy)
-        assert parallel.diagnostics == serial.diagnostics
-
-    def test_random_threshold_identical_across_workers(self, tiny_game):
-        serial = AuditEngine(tiny_game).solve(
-            "random-threshold", n_draws=10
-        )
-        with AuditEngine(tiny_game, workers=2) as engine:
-            parallel = engine.solve("random-threshold", n_draws=10)
-        assert parallel.objective == serial.objective
-        assert parallel.diagnostics == serial.diagnostics
-        assert _policies_equal(parallel.policy, serial.policy)
-
-    def test_cggs_inner_ignores_workers(self, tiny_game):
-        # CGGS is stateful: workers>1 must transparently price serially
-        # and still match the workers=1 run at equal seed.
-        serial = AuditEngine(tiny_game).solve(
-            "ishm", step_size=0.4, inner="cggs"
-        )
-        with AuditEngine(tiny_game, workers=2) as engine:
-            parallel = engine.solve("ishm", step_size=0.4, inner="cggs")
-        assert parallel.objective == serial.objective
-        assert np.array_equal(parallel.thresholds, serial.thresholds)
-
 
 class TestRunnerBatchPaths:
     def test_run_iterative_shrink_batch_equals_solver_path(
@@ -191,8 +104,10 @@ class TestRunnerBatchPaths:
 
 class TestEngineKnobs:
     def test_engine_rejects_bad_workers(self, tiny_game):
-        with pytest.raises(ValueError, match="workers"):
-            AuditEngine(tiny_game, workers=0)
+        # Pricing is serial: only workers=1 is accepted.
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="workers"):
+                AuditEngine(tiny_game, workers=workers)
 
     def test_engine_price_batch_warms_solver_cache(
         self, tiny_game, batch
@@ -206,11 +121,11 @@ class TestEngineKnobs:
     def test_close_is_idempotent_and_cache_survives(
         self, tiny_game, batch
     ):
-        engine = AuditEngine(tiny_game, workers=2)
+        engine = AuditEngine(tiny_game)
         first = engine.price_batch(batch)
         engine.close()
         engine.close()
-        # Memo still serves; a new pool spins up transparently if needed.
+        # The memo still serves after close.
         again = engine.price_batch(batch)
         assert [s.objective for s in again] == [
             s.objective for s in first

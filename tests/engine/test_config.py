@@ -68,6 +68,23 @@ class TestFromDict:
         with pytest.raises(ValueError, match=f"no option '{option}'"):
             cls.from_dict({option: "yes"})
 
+    @pytest.mark.parametrize(
+        "config_name, option",
+        [
+            ("ISHMConfig", "workers"),
+            ("BruteForceConfig", "workers"),
+            ("BruteForceConfig", "chunk_size"),
+            ("RandomThresholdConfig", "workers"),
+        ],
+    )
+    def test_process_pool_options_are_unknown(self, config_name, option):
+        # Pricing is serial; the pool's knobs are rejected, not ignored.
+        import repro.engine
+
+        cls = getattr(repro.engine, config_name)
+        with pytest.raises(ValueError, match=f"no option '{option}'"):
+            cls.from_dict({option: "1"})
+
 
 class TestMakeConfig:
     def test_defaults(self):

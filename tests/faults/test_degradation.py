@@ -1,21 +1,18 @@
 """Degradation paths under injected faults, with determinism preserved.
 
-The acceptance contract: every fallback (pool rebuild -> serial, scipy
--> simplex, solve -> previous policy) produces answers
-the healthy path would also have produced, and chaos runs replay
-bit-for-bit under an equal-seed plan.
+The acceptance contract: every fallback (scipy -> simplex, solve ->
+previous policy) produces answers the healthy path would also have
+produced, and chaos runs replay bit-for-bit under an equal-seed plan.
 """
 
 from __future__ import annotations
-
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.datasets import syn_a
-from repro.engine import AuditEngine, FixedSolveCache
+from repro.engine import AuditEngine
 from repro.faults import FaultInjected, FaultPlan, FaultRule
 from repro.obs import metrics as obs_metrics
 from repro.sim import simulate
@@ -25,72 +22,6 @@ from repro.solvers.lp.simplex import solve_with_simplex
 from tests.conftest import make_tiny_game
 
 FAST = {"step_size": 0.5}
-
-
-def _solutions_equal(a, b) -> bool:
-    return (
-        a.objective == b.objective
-        and tuple(map(tuple, a.policy.orderings))
-        == tuple(map(tuple, b.policy.orderings))
-        and np.array_equal(a.policy.probabilities, b.policy.probabilities)
-        and np.array_equal(a.policy.thresholds, b.policy.thresholds)
-    )
-
-
-@pytest.fixture()
-def batch(tiny_game):
-    rng = np.random.default_rng(7)
-    upper = np.ceil(tiny_game.threshold_upper_bounds())
-    return rng.integers(
-        0, upper + 1, size=(6, tiny_game.n_types)
-    ).astype(np.float64)
-
-
-class TestPoolDegradation:
-    def test_broken_pool_falls_back_serial_bitwise(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        reference = FixedSolveCache(tiny_game, tiny_scenarios).price_batch(
-            batch, method="enumeration", workers=1
-        )
-        # Every parallel attempt dies (rebuild included): the cache must
-        # finish the batch serially and match workers=1 exactly.
-        plan = FaultPlan(
-            [FaultRule("engine.parallel.pool", raises=BrokenProcessPool)]
-        )
-        with faults.active_plan(plan):
-            with FixedSolveCache(tiny_game, tiny_scenarios) as cache:
-                degraded = cache.price_batch(
-                    batch, method="enumeration", workers=2
-                )
-        assert plan.calls("engine.parallel.pool") == 2  # initial + rebuild
-        assert len(degraded) == len(reference)
-        for got, want in zip(degraded, reference, strict=True):
-            assert _solutions_equal(got, want)
-
-    def test_single_crash_recovers_via_rebuild(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        reference = FixedSolveCache(tiny_game, tiny_scenarios).price_batch(
-            batch, method="enumeration", workers=1
-        )
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    "engine.parallel.pool",
-                    raises=BrokenProcessPool,
-                    nth=1,
-                )
-            ]
-        )
-        with faults.active_plan(plan):
-            with FixedSolveCache(tiny_game, tiny_scenarios) as cache:
-                recovered = cache.price_batch(
-                    batch, method="enumeration", workers=2
-                )
-        assert plan.calls("engine.parallel.pool") == 2
-        for got, want in zip(recovered, reference, strict=True):
-            assert _solutions_equal(got, want)
 
 
 class TestLpBackendDegradation:

@@ -117,14 +117,14 @@ class TestRules:
 class TestSpecParsing:
     def test_full_spec(self):
         plan = FaultPlan.parse(
-            "seed=7; engine.parallel.pool: exc=BrokenProcessPool, nth=1;"
+            "seed=7; engine.solve: exc=RuntimeError, nth=1;"
             " solvers.lp.scipy: p=0.25; serve.resolve: latency=0.5,"
             " exc=none"
         )
         assert plan.seed == 7
         assert len(plan.rules) == 3
-        pool, scipy, serve = plan.rules
-        assert pool.raises is BrokenProcessPool and pool.nth == 1
+        solve, scipy, serve = plan.rules
+        assert solve.raises is RuntimeError and solve.nth == 1
         assert scipy.probability == 0.25
         assert serve.raises is None and serve.latency == 0.5
 

@@ -92,20 +92,6 @@ def test_results_identical_with_telemetry_on_and_off(tiny_game):
     assert hot.diagnostics["lp_calls"] == cold.diagnostics["lp_calls"]
 
 
-def test_parallel_pricing_identical_with_telemetry_on(tiny_game):
-    """workers>1 == workers=1 stays bitwise with spans propagating."""
-    obs.enable(obs.MetricsRegistry())
-    serial = AuditEngine(tiny_game).solve("ishm", step_size=0.4)
-    with AuditEngine(tiny_game, workers=2) as engine:
-        with obs.span("test.fanout"):
-            parallel = engine.solve("ishm", step_size=0.4)
-    assert parallel.objective == serial.objective
-    assert np.array_equal(parallel.thresholds, serial.thresholds)
-    assert (
-        parallel.diagnostics["lp_calls"] == serial.diagnostics["lp_calls"]
-    )
-
-
 def test_sim_counters_and_spans(tiny_game, registry):
     from repro.sim import AuditSimulator, SimConfig
 
@@ -145,28 +131,6 @@ def test_sim_period_span_series_stay_bounded(tiny_game, registry):
     # Exactly one series per refit value, together holding all 12 periods.
     assert sorted(dict(key)["refit"] for key in series) == ["False", "True"]
     assert sum(hist.count for hist in series.values()) == 12
-
-
-def test_price_chunk_span_series_stay_bounded(
-    tiny_game, tiny_scenarios, registry, monkeypatch
-):
-    """The chunk size is not a span label: one ``price_chunk`` series."""
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "_WORKER_STATE", {})
-    parallel._init_worker(tiny_game, tiny_scenarios)
-    path = ("engine.solve", "engine.price_batch")
-    for n_vectors in (1, 2, 3):
-        vectors = np.full((n_vectors, tiny_game.n_types), 2.0)
-        solutions = parallel._price_chunk("scipy", (), vectors, path)
-        assert len(solutions) == n_vectors
-    spans = registry.snapshot()["histograms"].get(SPAN_HISTOGRAM, {})
-    series = [
-        key for key in spans
-        if dict(key)["span"].endswith("price_chunk")
-    ]
-    assert len(series) == 1
-    assert spans[series[0]].count == 3
 
 
 def test_lp_solve_span_one_series_per_backend(registry):

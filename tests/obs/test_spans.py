@@ -1,4 +1,4 @@
-"""Span chains: nesting, the disabled no-op, and cross-context adoption."""
+"""Span chains: nesting, the disabled no-op, and context-copying threads."""
 
 from __future__ import annotations
 
@@ -61,14 +61,6 @@ def test_span_survives_exceptions(registry):
         pass
     assert obs.current_span_path() == ()
     assert span_labels(registry) == {"outer"}
-
-
-def test_adopt_span_path_reroots(registry):
-    with obs.adopt_span_path(("parent", "chunk")):
-        with obs.span("work"):
-            assert obs.current_span_path() == ("parent", "chunk", "work")
-    assert obs.current_span_path() == ()
-    assert span_labels(registry) == {"parent.chunk.work"}
 
 
 def test_copied_context_thread_inherits_chain(registry):

@@ -331,6 +331,11 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="max_batch"):
             ServeConfig(max_batch=0)
 
+    def test_workers_accepts_only_one(self):
+        assert ServeConfig(workers=1).workers == 1
+        with pytest.raises(ValueError, match="workers"):
+            ServeConfig(workers=2)
+
     def test_replace(self):
         config = ServeConfig().replace(drift_threshold=0.5)
         assert config.drift_threshold == 0.5

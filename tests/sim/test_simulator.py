@@ -243,6 +243,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="no option"):
             SimConfig.from_pairs({"periods": "7"})
 
+    def test_from_pairs_rejects_removed_workers(self):
+        with pytest.raises(ValueError, match="no option 'workers'"):
+            SimConfig.from_pairs({"workers": "1"})
+
     def test_from_pairs_rejects_flat_options_fields(self):
         # A raw string can't populate an options mapping; the dotted
         # form is required.

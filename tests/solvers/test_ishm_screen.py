@@ -234,16 +234,6 @@ class TestScreenedISHM:
         assert screened.diagnostics["screened"] == screened.raw.screened
         _assert_same_ishm(screened.raw, reference)
 
-    def test_workers_two_equals_workers_one(self):
-        game = syn_a(budget=6)
-        with AuditEngine(game, workers=1) as engine:
-            serial = engine.solve("ishm", step_size=0.2)
-        with AuditEngine(game, workers=2) as engine:
-            parallel = engine.solve("ishm", step_size=0.2)
-        assert serial.raw.screened > 0
-        assert parallel.raw.screened == serial.raw.screened
-        _assert_same_ishm(parallel.raw, serial.raw)
-
     def test_custom_utility_kernel_screens_nothing(self):
         game = syn_a(budget=10)
         with AuditEngine(game) as engine:
