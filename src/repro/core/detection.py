@@ -37,6 +37,7 @@ would not give that guarantee across the 1-D and 2-D call shapes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,33 +133,21 @@ class OrderingPricer:
     Every master solve prices dozens to thousands of orderings against
     the *same* thresholds and scenario set; re-running ``asarray`` and
     range validation per ordering is pure overhead.  The pricer validates
-    once at construction and hoists the per-type quantities every walk
-    shares — the audit quotas ``floor(b_t / C_t)``, the per-scenario
-    budget contributions ``min(b_t, Z_t C_t)`` and the zero-count-safe
-    denominators.  :meth:`pal` then runs the reference per-ordering walk
-    with no revalidation; :func:`pal_for_ordering` is a thin one-shot
-    wrapper, so both produce bit-identical rows.
+    once at construction, where it also computes the audit quotas
+    ``floor(b_t / C_t)``.  The scenario-sized arrays every sweep shares
+    (a float copy of the counts, the per-scenario budget contributions
+    ``min(b_t, Z_t C_t)`` and the zero-count-safe denominators) are
+    derived on first use: a table whose entries all come from a
+    :class:`~repro.core.pal_table.PalEntryStore` never touches them.
+    :meth:`pal` then runs the reference per-ordering walk with no
+    revalidation; :func:`pal_for_ordering` is a thin one-shot wrapper,
+    so both produce bit-identical rows.
 
     This is the reference walk.  The solvers price from the subset
     tables built on top of it (:class:`~repro.core.pal_table.PalTable`
     and :class:`~repro.core.pal_table.LazyPalTable`); the walk stays for
     tests, the simulator and small-support policy evaluation.
     """
-
-    __slots__ = (
-        "thresholds",
-        "costs",
-        "budget",
-        "zero_count_rule",
-        "scenarios",
-        "counts",
-        "weights",
-        "n_types",
-        "quota",
-        "contrib",
-        "effective",
-        "zsafe",
-    )
 
     def __init__(
         self,
@@ -170,10 +159,10 @@ class OrderingPricer:
     ) -> None:
         _check_zero_rule(zero_count_rule)
         b, c = _check_inputs(thresholds, costs, budget)
-        Z = scenarios.counts.astype(np.float64, copy=False)
-        if Z.shape[1] != len(b):
+        n_types = scenarios.counts.shape[1]
+        if n_types != len(b):
             raise ValueError(
-                f"scenario set has {Z.shape[1]} types, thresholds have "
+                f"scenario set has {n_types} types, thresholds have "
                 f"{len(b)}"
             )
         self.thresholds = b
@@ -181,16 +170,31 @@ class OrderingPricer:
         self.budget = float(budget)
         self.zero_count_rule = zero_count_rule
         self.scenarios = scenarios
-        self.counts = Z
         self.weights = scenarios.weights
         self.n_types = len(b)
         #: ``floor(b_t / C_t)`` — per-type audit quota.
         self.quota = np.floor(b / c)
-        #: ``min(b_t, Z_t C_t)`` — budget consumed by type t, per scenario.
-        self.contrib = np.minimum(b, Z * c)
-        #: Zero-count-safe denominator ``max(Z_t, 1)``.
-        self.zsafe = np.maximum(Z, 1.0)
-        self.effective = self.zsafe if zero_count_rule == "unit" else Z
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The scenario counts as floats, ``(S, T)``."""
+        return self.scenarios.counts.astype(np.float64, copy=False)
+
+    @cached_property
+    def contrib(self) -> np.ndarray:
+        """``min(b_t, Z_t C_t)`` — budget consumed by type t, per scenario."""
+        return np.minimum(self.thresholds, self.counts * self.costs)
+
+    @cached_property
+    def zsafe(self) -> np.ndarray:
+        """Zero-count-safe denominator ``max(Z_t, 1)``."""
+        return np.maximum(self.counts, 1.0)
+
+    @cached_property
+    def effective(self) -> np.ndarray:
+        """The count that caps ``n_t``: ``zsafe`` under the ``"unit"``
+        rule, the raw count under ``"strict"``."""
+        return self.zsafe if self.zero_count_rule == "unit" else self.counts
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` via the reference front-to-back walk."""

@@ -43,7 +43,8 @@ evaluation; :func:`subset_table_pays` encodes the break-even point that
 The same lattice also maximizes a weighted ``Pal`` row over all ``T!``
 orderings in ``O(T * 2^T)`` (:meth:`PalTable.max_weighted_pal`): the
 all-orderings dual bound with which the enumeration solver screens ISHM
-probes.
+probes.  Its cheaper first stage reads only the mask-0 row, through a
+:class:`LazyPalTable` (see :mod:`repro.solvers.enumeration`).
 
 Entry store
 -----------
@@ -84,6 +85,7 @@ __all__ = [
     "PalTable",
     "subset_table_pays",
     "SUBSET_TABLE_TYPE_LIMIT",
+    "default_scenario_chunk",
 ]
 
 #: Beyond this many alert types the ``2^T`` subset space itself explodes
@@ -98,6 +100,14 @@ _DP_ELEMENT_BUDGET = 1 << 22
 #: Bits per type in an entry key: room for 2^32 - 1 distinct threshold
 #: values per type, far more than a store's memory could hold.
 _ID_BITS = 32
+
+
+def default_scenario_chunk(n_types: int) -> int:
+    """Scenarios per sweep of an eager build's default chunking: the
+    most that keep its ``2^T``-row consumption DP within budget.  A lazy
+    table sweeps every scenario at once, so the two share stored entries
+    exactly when a set has at most this many scenarios."""
+    return max(1, _DP_ELEMENT_BUDGET >> n_types)
 
 
 def subset_table_pays(
@@ -334,9 +344,9 @@ class PalTable:
         write them back; return how many were computed."""
         p = self._pricer
         n_masks = 1 << n_types
-        n_scenarios = p.counts.shape[0]
+        n_scenarios = p.scenarios.n_scenarios
         if scenario_chunk is None:
-            scenario_chunk = max(1, _DP_ELEMENT_BUDGET // n_masks)
+            scenario_chunk = default_scenario_chunk(n_types)
         elif scenario_chunk < 1:
             raise ValueError(
                 f"scenario_chunk must be >= 1, got {scenario_chunk}"
@@ -571,7 +581,7 @@ class LazyPalTable:
         p = self._pricer
         # One sweep covers every scenario: the chunking of a single-chunk
         # eager build, whose entries this table may share.
-        self._shared, self._fields = store._bind(p, p.counts.shape[0])
+        self._shared, self._fields = store._bind(p, p.scenarios.n_scenarios)
         self._consumed: dict[int, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._entries: dict[tuple[int, int], float] = {}
@@ -598,7 +608,7 @@ class LazyPalTable:
         cached = self._consumed.get(mask)
         if cached is None:
             if mask == 0:
-                cached = np.zeros(self._pricer.counts.shape[0])
+                cached = np.zeros(self._pricer.scenarios.n_scenarios)
             else:
                 low = mask & -mask
                 cached = (

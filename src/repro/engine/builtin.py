@@ -107,6 +107,7 @@ def _solve_ishm(
         diagnostics={
             "lp_calls": raw.lp_calls,
             "screened": raw.screened,
+            "screened_mask0": raw.screened_mask0,
             "improvements": len(raw.history) - 1,
         },
         raw=raw,

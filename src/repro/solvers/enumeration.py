@@ -45,6 +45,15 @@ with ``c0 = sum_r lambda_r (R - K)_r`` and ``w_t = sum_r lambda_r
 whose bound, less its rounding margin (:class:`DualBound`), reaches the
 cutoff returns :class:`Screened` instead of solving its LP; any other
 probe is solved as before from the same table.
+
+The screen runs in two stages.  Stage 1 bounds the probe from its ``T``
+mask-0 entries alone, ``LB0(b) = c0 - sum_t max(w_t, 0) table[t, 0]``,
+which the solver's entry store usually already holds, so a probe it
+screens builds no table.  Stage 2, the table DP above, runs only when
+stage 1 fails, and the LP only when both do.  ``LB0 <= LB`` exactly in
+floating point (see :class:`DualBound`), so the two stages screen
+exactly the probes the DP alone screens; only the recorded bound of a
+stage-1 probe is weaker.
 """
 
 from __future__ import annotations
@@ -56,7 +65,11 @@ import numpy as np
 
 from ..core.game import AuditGame
 from ..core.objective import REFRAIN_TIE_TOL
-from ..core.pal_table import PalEntryStore, PalTable
+from ..core.pal_table import (
+    PalEntryStore,
+    PalTable,
+    default_scenario_chunk,
+)
 from ..core.policy import all_orderings
 from ..distributions.joint import ScenarioSet
 from .master import (
@@ -78,17 +91,22 @@ __all__ = [
 #: Refuse to enumerate beyond this many orderings by default (7! = 5040).
 DEFAULT_MAX_ORDERINGS = 5040
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class Screened:
     """Stand-in result for a probe the dual bound shows cannot win.
 
     ``lower_bound`` is certified: the objective the probe's master solve
-    would report is at least this value (the all-orderings bound less
-    its rounding margin), and it reached the screening cutoff.
+    would report is at least this value (the stage's bound less its
+    rounding margin), and it reached the screening cutoff.  ``stage``
+    names the bound: ``"mask0"`` (:meth:`DualBound.mask0_bound`) or
+    ``"table"`` (:meth:`DualBound.lower_bound`).
     """
 
     lower_bound: float
+    stage: str
 
 
 @dataclass(frozen=True)
@@ -109,11 +127,38 @@ class Incumbent:
 class DualBound:
     """Attack-row duals projected onto dual feasibility, ready to bound.
 
-    ``lower_bound(table)`` is ``c0 - max_o w' Pal_o``, at most the master
-    optimum at the table's thresholds in exact arithmetic.  ``margin``
-    bounds what rounding can add to that gap (see
+    ``lower_bound(table)`` is ``LB = c0 - max_o w' Pal_o``, at most the
+    master optimum at the table's thresholds in exact arithmetic.
+    ``margin`` bounds what rounding can add to that gap (see
     :meth:`EnumerationSolver.dual_bound`): the objective a master solve
     reports is at least ``lower_bound(table) - margin``.
+
+    ``mask0_bound(entries)`` is ``LB0 = c0 - sum_t max(w_t, 0)
+    table[t, 0]`` from the ``T`` mask-0 entries alone, and the computed
+    ``LB0`` is at most the computed ``LB`` of the same table:
+
+    * ``Pal_o[t] = table[t, pred_o(t)]``, and consumption only grows as
+      predecessors are added, so ``0 <= table[t, S] <= table[t, 0]``.
+      This holds exactly for the computed entries: every step of an
+      entry's pipeline is monotone (subtract, divide by a positive
+      cost, floor, clamp, divide by ``zsafe > 0``, multiply by weights
+      ``>= 0``), every mask's entry of a table is summed over the same
+      pairwise tree, and rounded addition is monotone in each operand.
+    * So each rounded term of an ordering's DP path, ``w_t Pal_o[t]``,
+      is at most the rounded ``max(w_t, 0) table[t, 0] >= 0``, and the
+      path's sum, accumulated in placement order, is at most the sum of
+      those terms accumulated in the same order.
+    * The DP's maximum is one such path sum, but ``LB0`` sums its terms
+      in type order.  Any order's rounded sum of ``T`` non-negative
+      terms lies within a factor ``(1 +- u)^(T-1)`` of the exact sum
+      (``u = eps / 2``), so the type-order sum, scaled by ``1 + 2 T
+      eps`` and rounded, is at least every order's sum.
+    * Rounded subtraction from ``c0`` is monotone, hence ``LB0 <= LB``
+      and ``LB0 - margin <= LB - margin``: the margin carries over, and
+      a probe stage 1 screens is one stage 2 would screen.
+
+    Both bounds must read entries summed over one scenario partition;
+    the solver runs stage 1 only where they do.
     """
 
     c0: float
@@ -123,6 +168,11 @@ class DualBound:
     def lower_bound(self, table: PalTable) -> float:
         """The all-orderings Lagrangian bound at ``table``'s thresholds."""
         return self.c0 - table.max_weighted_pal(self.weights)
+
+    def mask0_bound(self, entries: np.ndarray) -> float:
+        """The bound from the mask-0 entries ``table[t, 0]`` alone."""
+        total = float((np.maximum(self.weights, 0.0) * entries).sum())
+        return self.c0 - total * (1.0 + 2 * len(entries) * _EPS)
 
 
 class EnumerationSolver:
@@ -163,6 +213,14 @@ class EnumerationSolver:
             game, self._rep_rows[0], n_orderings
         )
         self._pal_store = PalEntryStore()
+        # Stage 1 reads lazy-table entries, summed over every scenario
+        # at once; it may screen only where those are the eager
+        # table's own entries (one chunk), which holds for every
+        # shipped game.
+        self._screen_mask0 = (
+            self.scenarios.n_scenarios
+            <= default_scenario_chunk(game.n_types)
+        )
         # The last incumbent's duals and their projection: one batch
         # screens every probe against the same Incumbent.
         self._bound_for: tuple[np.ndarray, DualBound | None] | None = None
@@ -175,8 +233,9 @@ class EnumerationSolver:
         """Optimal restricted-strategy-space mixed policy for ``b``.
 
         With an ``incumbent``, first screen the probe (see the module
-        docstring): return :class:`Screened` when its certified bound
-        reaches ``incumbent.cutoff``, else solve from the same table.
+        docstring): return :class:`Screened` when the mask-0 bound, or
+        else the table bound, reaches ``incumbent.cutoff``; otherwise
+        solve from the same table.
         """
         context = PolicyContext(
             self.game,
@@ -188,9 +247,16 @@ class EnumerationSolver:
         if incumbent is not None:
             bound = self._cached_bound(incumbent.duals)
             if bound is not None:
+                if self._screen_mask0:
+                    lower = (
+                        bound.mask0_bound(context.mask0_entries())
+                        - bound.margin
+                    )
+                    if lower >= incumbent.cutoff:
+                        return Screened(lower, "mask0")
                 lower = bound.lower_bound(context.pal_table()) - bound.margin
                 if lower >= incumbent.cutoff:
-                    return Screened(lower)
+                    return Screened(lower, "table")
         master = MasterProblem(
             context, backend=self.backend, skeleton=self._skeleton
         )
@@ -296,7 +362,7 @@ class EnumerationSolver:
         ) * float(
             np.max(np.abs(gain) + np.abs(swing) * probs.sum(axis=1))
         )
-        margin = n_terms * float(np.finfo(np.float64).eps) * scale
+        margin = n_terms * _EPS * scale
         if refrain:
             margin += REFRAIN_TIE_TOL * float(prior.sum())
         return DualBound(c0=c0, weights=weights, margin=margin)

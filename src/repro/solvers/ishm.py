@@ -19,9 +19,10 @@ otherwise) unless the enumeration pricer *screens* it: given a
 dual bound — built from the incumbent master's duals, see
 :mod:`repro.solvers.enumeration` — with the round's cutoff
 ``best - improvement_tol``, and a probe whose bound reaches it comes
-back :class:`~repro.solvers.enumeration.Screened` without an LP.  Such
-a probe could never have been accepted, so the search path, the result
-and ``lp_calls`` are exactly those of the unscreened search.
+back :class:`~repro.solvers.enumeration.Screened` without an LP, from
+the mask-0 stage or the table stage.  Such a probe could never have
+been accepted, so the search path, the result and ``lp_calls`` are
+exactly those of the unscreened search.
 
 Two deliberate clarifications versus the pseudocode:
 
@@ -156,8 +157,9 @@ class ISHMResult:
     checked" (Table VII): distinct vectors priced, screened ones
     included; repeats and probes identical to the incumbent are
     excluded.  ``screened`` counts the vectors among them whose master
-    was skipped by the dual-bound screen.  ``history`` records
-    ``(thresholds, objective)`` at every accepted improvement.
+    was skipped by the dual-bound screen, ``screened_mask0`` those of
+    them its mask-0 stage skipped.  ``history`` records ``(thresholds,
+    objective)`` at every accepted improvement.
     """
 
     thresholds: np.ndarray
@@ -170,6 +172,7 @@ class ISHMResult:
         default_factory=tuple
     )
     screened: int = 0
+    screened_mask0: int = 0
 
     def quotas(self, costs: np.ndarray) -> np.ndarray:
         """``floor(b_t / C_t)`` — max alerts auditable per type."""
@@ -292,12 +295,13 @@ def run_iterative_shrink(
 
     lp_calls = 0
     screened = 0
+    screened_mask0 = 0
 
     def price_round(
         probes: list[np.ndarray],
     ) -> list[FixedThresholdSolution | Screened]:
         """Price one round of probes through the local memo as a batch."""
-        nonlocal lp_calls, screened
+        nonlocal lp_calls, screened, screened_mask0
         keys = [tuple(np.round(p, 9).tolist()) for p in probes]
         fresh: dict[tuple[float, ...], np.ndarray] = {}
         for key, probe in zip(keys, probes, strict=True):
@@ -307,7 +311,9 @@ def run_iterative_shrink(
             solutions = batch_solver(np.stack(list(fresh.values())))
             for key, solution in zip(fresh, solutions, strict=True):
                 cache[key] = solution
-                screened += isinstance(solution, Screened)
+                if isinstance(solution, Screened):
+                    screened += 1
+                    screened_mask0 += solution.stage == "mask0"
             lp_calls += len(fresh)
         return [cache[key] for key in keys]
 
@@ -381,8 +387,11 @@ def run_iterative_shrink(
         else:
             lh = 1
 
-    # Boundary telemetry: one increment per run.
-    obs.counter("repro_ishm_screened_total", screened)
+    # Boundary telemetry: one increment per run and stage.
+    obs.counter("repro_ishm_screened_total", screened_mask0, stage="mask0")
+    obs.counter(
+        "repro_ishm_screened_total", screened - screened_mask0, stage="table"
+    )
     return ISHMResult(
         thresholds=current,
         objective=best_objective,
@@ -392,4 +401,5 @@ def run_iterative_shrink(
         step_size=step_size,
         history=tuple(history),
         screened=screened,
+        screened_mask0=screened_mask0,
     )

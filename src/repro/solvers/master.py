@@ -165,6 +165,7 @@ class PolicyContext:
         )
         self._lazy = lazy
         self._pal_store = pal_store
+        self._pricer: OrderingPricer | None = None
         self._table: PalTable | LazyPalTable | None = None
 
     @classmethod
@@ -212,19 +213,51 @@ class PolicyContext:
         """(adversary, victim) indices of the deduplicated LP rows."""
         return self._rows
 
-    def pal_table(self) -> PalTable | LazyPalTable:
-        """The subset table that prices this context (built on first use)."""
-        if self._table is None:
-            pricer = OrderingPricer(
+    @property
+    def pricer(self) -> OrderingPricer:
+        """The validated pricer every table of this context reads
+        (built on first use, once)."""
+        if self._pricer is None:
+            self._pricer = OrderingPricer(
                 self.thresholds,
                 self.scenarios,
                 self.game.costs,
                 self.game.budget,
                 self.game.zero_count_rule,
             )
+        return self._pricer
+
+    def pal_table(self) -> PalTable | LazyPalTable:
+        """The subset table that prices this context (built on first use)."""
+        if self._table is None:
             factory = LazyPalTable if self._lazy else PalTable
-            self._table = factory.from_pricer(pricer, store=self._pal_store)
+            self._table = factory.from_pricer(
+                self.pricer, store=self._pal_store
+            )
         return self._table
+
+    def mask0_entries(self) -> np.ndarray:
+        """``table[t, 0]`` for every type ``t``: each type's ``Pal``
+        when it is audited first.
+
+        Read through a :class:`~repro.core.pal_table.LazyPalTable` over
+        this context's pricer and store, whichever table prices the
+        context: when the store holds all ``T`` entries nothing is swept
+        and the pricer derives no scenario-sized array; a missing entry
+        is swept once and stored for later tables.  Reports the lazy
+        table's computed and reused entries, as CGGS does per probe.
+        """
+        table = LazyPalTable.from_pricer(self.pricer, store=self._pal_store)
+        entries = table.extension_values(0, range(self.game.n_types))
+        obs.counter(
+            "repro_pal_entries_total",
+            table.entries_computed,
+            source="computed",
+        )
+        obs.counter(
+            "repro_pal_entries_total", table.entries_reused, source="reused"
+        )
+        return entries
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` for a complete or partial ordering (cached)."""

@@ -244,6 +244,17 @@ class TestNaNInputs:
                 np.array(thresholds), self.SCENARIOS, np.array(costs), budget
             )
 
+    def test_pricer_rejects_negative_thresholds(self):
+        with pytest.raises(ValueError, match="thresholds"):
+            OrderingPricer(
+                np.array([-1.0, 1.0]), self.SCENARIOS, np.ones(2), 3.0
+            )
+
+    def test_pricer_rejects_a_wrong_type_count(self):
+        # Checked at construction, before any scenario array is derived.
+        with pytest.raises(ValueError, match="types"):
+            OrderingPricer(np.ones(3), self.SCENARIOS, np.ones(3), 3.0)
+
     @pytest.mark.parametrize(
         "method, option",
         [("enumeration", "thresholds"), ("ishm", "initial_thresholds")],

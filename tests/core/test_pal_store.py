@@ -143,6 +143,24 @@ class TestColdEquality:
         assert (second.entries_computed, second.entries_reused) == (1, 4)
 
 
+class TestStoredEntriesDeriveNothing:
+    def test_stored_mask0_entries_leave_the_pricer_untouched(self):
+        """A lazy table whose entries are all stored derives none of
+        its pricer's scenario-sized arrays."""
+        store = PalEntryStore()
+        b = (0.5, 1.5, 2.5, 4.0)
+        PalTable.from_pricer(pricer(b), store=store)
+        fresh = pricer(b)
+        lazy = LazyPalTable.from_pricer(fresh, store=store)
+        values = lazy.extension_values(0, range(N_TYPES))
+        assert values.tobytes() == (
+            PalTable.from_pricer(pricer(b)).table[:, 0].tobytes()
+        )
+        assert (lazy.entries_computed, lazy.entries_reused) == (0, N_TYPES)
+        derived = ("counts", "contrib", "zsafe", "effective")
+        assert not set(derived) & set(vars(fresh))
+
+
 class TestFailureMidBuild:
     def test_raising_chunk_stores_nothing(self, monkeypatch):
         store = PalEntryStore()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     LazyPalTable,
@@ -139,6 +141,55 @@ class TestLazyTable:
                 lazy.extension_values(mask, free),
                 eager.extension_values(mask, free),
             )
+
+
+class TestMaskZeroDominates:
+    """``table[t, S] <= table[t, 0]`` bit for bit, in every table kind:
+    the enumeration solver's mask-0 screen rests on it."""
+
+    @given(
+        thresholds=st.lists(
+            st.sampled_from([0.0, 0.5, 1.5, 2.5, 4.0, 7.0]),
+            min_size=4,
+            max_size=4,
+        ),
+        costs=st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=4, max_size=4
+        ),
+        budget=st.sampled_from([0.5, 2.0, 3.5, 6.0]),
+        rule=st.sampled_from(["unit", "strict"]),
+        chunk=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_entry_exceeds_its_mask0_entry(
+        self, thresholds, costs, budget, rule, chunk, seed
+    ):
+        # Low means: zero counts are common, so both rules matter.
+        joint = JointCountModel(
+            [DiscretizedGaussian(0.8 + 0.5 * t, 1.2) for t in range(4)]
+        )
+        scenarios = joint.sample_scenarios(
+            60, np.random.default_rng(seed)
+        )
+        pricer = OrderingPricer(
+            np.array(thresholds), scenarios, np.array(costs), budget, rule
+        )
+        lazy = LazyPalTable.from_pricer(pricer)
+        lazy_table = np.zeros((4, 16))
+        for mask in range(16):
+            free = [t for t in range(4) if not mask >> t & 1]
+            lazy_table[free, mask] = lazy.extension_values(mask, free)
+        tables = {
+            "eager": PalTable.from_pricer(pricer).table,
+            "chunked": PalTable.from_pricer(pricer, chunk).table,
+            "lazy": lazy_table,
+        }
+        for kind, table in tables.items():
+            for t in range(4):
+                for mask in range(16):
+                    if not mask >> t & 1:
+                        assert table[t, mask] <= table[t, 0], (kind, t, mask)
 
 
 class TestPalForOrderingsDispatch:

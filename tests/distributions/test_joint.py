@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions import (
     ConstantCount,
@@ -144,6 +146,60 @@ class TestScenarioSetCompressed:
         c = sc.compressed()
         assert c.n_scenarios < sc.n_scenarios
         assert np.isclose(c.weights.sum(), 1.0)
+
+
+@st.composite
+def count_matrices(draw):
+    """Small int64 count matrices, C- or Fortran-ordered or a column
+    slice of a wider matrix, with repeated rows likely."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    wide = 2 * n_cols if layout == "sliced" else n_cols
+    values = draw(
+        st.lists(
+            st.integers(0, 2), min_size=n_rows * wide, max_size=n_rows * wide
+        )
+    )
+    matrix = np.array(values, dtype=np.int64).reshape(n_rows, wide)
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "sliced":
+        return matrix[:, ::2]
+    return matrix
+
+
+class TestCompressedDuplicateCheck:
+    @given(count_matrices(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_returns_self_iff_rows_are_distinct(self, counts, exact):
+        weights = np.arange(1.0, counts.shape[0] + 1.0)
+        sc = ScenarioSet(
+            counts=counts, weights=weights / weights.sum(), exact=exact
+        )
+        distinct = len({tuple(row) for row in counts.tolist()})
+        got = sc.compressed()
+        if distinct == counts.shape[0]:
+            assert got is sc
+            return
+        # Otherwise bitwise the np.unique(axis=0) merge.
+        unique, inverse = np.unique(
+            sc.counts, axis=0, return_inverse=True
+        )
+        want = ScenarioSet(
+            counts=unique,
+            weights=np.bincount(
+                inverse.reshape(-1),
+                weights=sc.weights,
+                minlength=unique.shape[0],
+            ),
+            exact=exact,
+        )
+        assert got is not sc
+        assert got.n_scenarios == distinct
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.exact == exact
 
 
 class TestJointCountModel:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import PalEntryStore
 from repro.datasets import syn_a
 from repro.engine import AuditEngine
 from repro.obs import metrics as obs_metrics
@@ -59,16 +60,49 @@ def test_cggs_counters(tiny_game, registry):
 
 
 def test_pal_entry_counters_pin_syn_a_ishm(registry):
-    """One eager build emits one computed and one reused count: on a
-    fresh syn_a(10) ISHM at step 0.1, 110 tables of 32 entries each."""
+    """Each eager build and each mask-0 screen emits one computed and
+    one reused count: on a fresh syn_a(10) ISHM at step 0.1, 65 tables
+    of 32 entries and 109 screens of 4 (the start vector is priced
+    unscreened), 2516 entries in all."""
     AuditEngine(syn_a(budget=10)).solve("ishm", step_size=0.1)
-    assert registry.counter_total("repro_pal_table_builds_total") == 110
+    assert registry.counter_total("repro_pal_table_builds_total") == 65
     assert registry.get_counter(
         "repro_pal_entries_total", source="computed"
-    ) == 1528
+    ) == 1009
     assert registry.get_counter(
         "repro_pal_entries_total", source="reused"
-    ) == 1992
+    ) == 1507
+
+
+def test_computed_entries_equal_the_store_size(registry, monkeypatch):
+    """Every entry the solver's store holds was computed once, by an
+    eager build or by a mask-0 screen, and reported by it."""
+    stores = []
+    original = PalEntryStore.__init__
+
+    def recording(self):
+        original(self)
+        stores.append(self)
+
+    monkeypatch.setattr(PalEntryStore, "__init__", recording)
+    AuditEngine(syn_a(budget=10)).solve("ishm", step_size=0.1)
+    [store] = stores
+    assert registry.get_counter(
+        "repro_pal_entries_total", source="computed"
+    ) == len(store)
+
+
+def test_screened_counter_split_by_stage(registry):
+    with AuditEngine(syn_a(budget=10)) as engine:
+        result = engine.solve("ishm", step_size=0.1)
+    by_stage = {
+        stage: registry.get_counter("repro_ishm_screened_total", stage=stage)
+        for stage in ("mask0", "table")
+    }
+    assert by_stage == {"mask0": 45, "table": 20}
+    assert registry.counter_total("repro_ishm_screened_total") == (
+        result.diagnostics["screened"]
+    )
 
 
 def test_cggs_emits_lazy_entry_counts_per_probe(tiny_game, registry):

@@ -144,7 +144,8 @@ class TestDualBound:
         """One vector's duals bound every grid vector's objective.
 
         So do arbitrary "duals" — wrong sign, wrong scale, whole
-        adversaries at zero — once projected.
+        adversaries at zero — once projected.  The mask-0 bound is at
+        most the table bound, so the same margin covers it.
         """
         rng = np.random.default_rng(seed)
         game = _random_game(rng, refrain)
@@ -165,7 +166,9 @@ class TestDualBound:
             objective = solver.solve(b).objective
             table = _table(game, solver.scenarios, b)
             for bound in bounds:
-                assert bound.lower_bound(table) - bound.margin <= objective
+                lower = bound.lower_bound(table) - bound.margin
+                lower0 = bound.mask0_bound(table.table[:, 0]) - bound.margin
+                assert lower0 <= lower <= objective
 
     def test_gap_under_own_duals_on_every_syn_a_probe(
         self, syn_a_game, syn_a_scenarios
@@ -233,6 +236,16 @@ class TestScreenedISHM:
         assert screened.raw.screened > 0
         assert screened.diagnostics["screened"] == screened.raw.screened
         _assert_same_ishm(screened.raw, reference)
+
+    def test_stage_counts_pin_syn_a(self):
+        """syn_a(10) at step 0.1: of 110 vectors checked, the mask-0
+        stage screens 45 and the table stage 20 more."""
+        with AuditEngine(syn_a(budget=10)) as engine:
+            result = engine.solve("ishm", step_size=0.1)
+        assert result.diagnostics["lp_calls"] == 110
+        assert result.diagnostics["screened"] == 65
+        assert result.diagnostics["screened_mask0"] == 45
+        assert result.raw.screened_mask0 == 45
 
     def test_custom_utility_kernel_screens_nothing(self):
         game = syn_a(budget=10)
