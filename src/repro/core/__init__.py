@@ -27,6 +27,7 @@ from .objective import (
     REFRAIN,
     BestResponse,
     PolicyEvaluation,
+    best_response_arrays,
     best_responses,
     evaluate_policy,
     expected_utility_matrix,
@@ -64,6 +65,7 @@ __all__ = [
     "Victim",
     "all_orderings",
     "audited_counts",
+    "best_response_arrays",
     "best_responses",
     "evaluate_policy",
     "expected_utility_matrix",

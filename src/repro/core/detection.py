@@ -137,7 +137,8 @@ class OrderingPricer:
     ``floor(b_t / C_t)``.  The scenario-sized arrays every sweep shares
     (a float copy of the counts, the per-scenario budget contributions
     ``min(b_t, Z_t C_t)`` and the zero-count-safe denominators) are
-    derived on first use: a table whose entries all come from a
+    derived on first use, type-major ``(T, S)`` so that one type's
+    scenarios are contiguous: a table whose entries all come from a
     :class:`~repro.core.pal_table.PalEntryStore` never touches them.
     :meth:`pal` then runs the reference per-ordering walk with no
     revalidation; :func:`pal_for_ordering` is a thin one-shot wrapper,
@@ -177,13 +178,17 @@ class OrderingPricer:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The scenario counts as floats, ``(S, T)``."""
-        return self.scenarios.counts.astype(np.float64, copy=False)
+        """The scenario counts as floats, type-major ``(T, S)``: every
+        sweep reads one type's row, so rows are contiguous."""
+        return np.ascontiguousarray(self.scenarios.counts.T, dtype=np.float64)
 
     @cached_property
     def contrib(self) -> np.ndarray:
-        """``min(b_t, Z_t C_t)`` — budget consumed by type t, per scenario."""
-        return np.minimum(self.thresholds, self.counts * self.costs)
+        """``min(b_t, Z_t C_t)`` — budget consumed by type t, per
+        scenario, ``(T, S)``."""
+        return np.minimum(
+            self.thresholds[:, None], self.counts * self.costs[:, None]
+        )
 
     @cached_property
     def zsafe(self) -> np.ndarray:
@@ -199,7 +204,7 @@ class OrderingPricer:
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` via the reference front-to-back walk."""
         pal = np.zeros(self.n_types)
-        consumed = np.zeros(self.counts.shape[0])
+        consumed = np.zeros(self.counts.shape[1])
         placed = 0
         for t in ordering:
             if not 0 <= t < self.n_types:
@@ -211,11 +216,11 @@ class OrderingPricer:
                 np.floor((self.budget - consumed) / self.costs[t]), 0.0
             )
             audited = np.minimum(
-                np.minimum(capacity, self.quota[t]), self.effective[:, t]
+                np.minimum(capacity, self.quota[t]), self.effective[t]
             )
-            ratio = audited / self.zsafe[:, t]
+            ratio = audited / self.zsafe[t]
             pal[t] = float((ratio * self.weights).sum())
-            consumed = consumed + self.contrib[:, t]
+            consumed = consumed + self.contrib[t]
         return pal
 
 

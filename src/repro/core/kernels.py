@@ -7,7 +7,8 @@ turns consumed budget into audited-fraction products.  Both are
 vectorized, allocation-free numpy pipelines that fill caller-supplied
 buffers, over whichever masks and rows the caller still lacks; the lazy
 table (:class:`~repro.core.pal_table.LazyPalTable`) reuses the sweep one
-prefix mask at a time.
+prefix mask at a time, and the eager per-type sweep for the scattered
+entries a batch of orderings lacks.
 
 Every primitive computes *elementwise products only* (subtract, divide,
 floor, clamp, multiply — each value depends on one scenario).  The
@@ -48,12 +49,13 @@ def dp_consumed(
     """Fill ``consumed[mask, s]``, the budget consumed by the types in
     ``mask``, for ``mask = 0`` and each of ``masks`` via the
     lowest-set-bit recursion ``consumed[mask] = consumed[prev[mask]] +
-    contrib[:, bit[mask]]``.  ``masks`` must rise and hold every
-    nonzero ``prev`` of its members; other rows are left untouched."""
+    contrib[bit[mask]]``, with ``contrib`` type-major (one row per
+    type).  ``masks`` must rise and hold every nonzero ``prev`` of its
+    members; other rows are left untouched."""
     consumed[0] = 0.0
     for mask in masks:
         np.add(
-            consumed[prev[mask]], contrib[:, bit[mask]],
+            consumed[prev[mask]], contrib[bit[mask]],
             out=consumed[mask],
         )
 

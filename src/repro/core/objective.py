@@ -22,6 +22,7 @@ __all__ = [
     "utility_matrix_for_pal",
     "expected_utility_matrix",
     "BestResponse",
+    "best_response_arrays",
     "best_responses",
     "PolicyEvaluation",
     "evaluate_policy",
@@ -86,23 +87,46 @@ class BestResponse:
         return self.victim == REFRAIN
 
 
+def best_response_arrays(
+    expected_utilities: np.ndarray,
+    payoffs: PayoffModel,
+    tie_tol: float = REFRAIN_TIE_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-adversary argmax over victims (and the refrain option), as
+    ``(victims, utilities)`` arrays.
+
+    One ``argmax(axis=1)`` and one gather: the first maximal victim
+    wins a tie, and a row holding a NaN picks its first NaN.  When
+    attackers may refrain, an adversary whose best attack is below
+    ``-tie_tol`` refrains instead: victim ``REFRAIN``, utility 0.
+    """
+    eu = np.asarray(expected_utilities, dtype=np.float64)
+    if eu.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    victims = np.argmax(eu, axis=1)
+    utilities = eu[np.arange(eu.shape[0]), victims]
+    if payoffs.attackers_can_refrain:
+        deterred = utilities < -tie_tol
+        victims = np.where(deterred, REFRAIN, victims)
+        utilities = np.where(deterred, 0.0, utilities)
+    return victims, utilities
+
+
 def best_responses(
     expected_utilities: np.ndarray,
     payoffs: PayoffModel,
     tie_tol: float = REFRAIN_TIE_TOL,
 ) -> list[BestResponse]:
-    """Per-adversary argmax over victims (and the refrain option)."""
-    eu = np.asarray(expected_utilities, dtype=np.float64)
-    out: list[BestResponse] = []
-    for e in range(eu.shape[0]):
-        v = int(np.argmax(eu[e]))
-        value = float(eu[e, v])
-        if payoffs.attackers_can_refrain and value < -tie_tol:
-            out.append(BestResponse(adversary=e, victim=REFRAIN,
-                                    utility=0.0))
-        else:
-            out.append(BestResponse(adversary=e, victim=v, utility=value))
-    return out
+    """Per-adversary best responses (see :func:`best_response_arrays`)."""
+    victims, utilities = best_response_arrays(
+        expected_utilities, payoffs, tie_tol
+    )
+    return [
+        BestResponse(adversary=e, victim=v, utility=u)
+        for e, (v, u) in enumerate(
+            zip(victims.tolist(), utilities.tolist(), strict=True)
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,11 @@ into one int (:meth:`PalEntryStore._bind`) — for one scenario set, cost
 vector, budget and zero-count rule.  Both tables read it before
 computing and write back what they compute: the eager table sweeps only
 its missing entries (and the consumption DP only their masks and those
-masks' lowest-set-bit ancestors), the lazy table only a row's missing
-types.  A missing entry goes through the same elementwise operations,
-the same pairwise ``.sum(axis=-1)`` and the same accumulation onto a
-zeroed entry as in a table built from scratch, so a table built through
+masks' lowest-set-bit ancestors), the lazy table only the missing
+entries of a row or of a batch of orderings.  A missing entry goes
+through the same elementwise operations, the same pairwise
+``.sum(axis=-1)`` and the same accumulation onto a zeroed entry as in a
+table built from scratch, so a table built through
 a store is bitwise the table built without one.  A table built without
 a caller's store builds through a private empty one: there is one build
 path.
@@ -403,9 +404,9 @@ class PalTable:
         # adds each full row sum to an exact 0.0 — bitwise a no-op.
         for start in range(0, n_scenarios, scenario_chunk):
             chunk = slice(start, min(start + scenario_chunk, n_scenarios))
-            contrib = np.ascontiguousarray(p.contrib[chunk])
+            contrib = np.ascontiguousarray(p.contrib[:, chunk])
             weights = p.weights[chunk]
-            width = contrib.shape[0]
+            width = contrib.shape[1]
             consumed = consumed_bufs.get(width)
             if consumed is None:
                 consumed = consumed_bufs.setdefault(
@@ -427,8 +428,8 @@ class PalTable:
                     rows,
                     float(p.costs[t]),
                     float(p.quota[t]),
-                    np.ascontiguousarray(p.effective[chunk, t]),
-                    np.ascontiguousarray(p.zsafe[chunk, t]),
+                    p.effective[t, chunk],
+                    p.zsafe[t, chunk],
                     weights,
                     float(p.budget),
                     out,
@@ -448,26 +449,48 @@ class PalTable:
         Works for partial orderings too (unplaced types get 0), matching
         the reference walk's semantics.
         """
-        n_types = self._pricer.n_types
-        pal = np.zeros(n_types)
-        mask = 0
-        for t in ordering:
-            if not 0 <= t < n_types:
-                raise ValueError(f"type index {t} out of range")
-            if mask >> t & 1:
-                raise ValueError(f"type {t} is already placed")
-            pal[t] = self._table[t, mask]
-            mask |= 1 << t
-        return pal
+        return self.pal_rows((ordering,))[0]
 
     def pal_rows(
         self, orderings: Iterable[Ordering | Sequence[int]]
     ) -> np.ndarray:
-        """Stack of ``Pal`` rows, one per ordering (in input order)."""
-        rows = [self.pal(o) for o in orderings]
-        if not rows:
+        """Stack of ``Pal`` rows, one per complete or partial ordering
+        (in input order), by one gather per ordering length.
+
+        The predecessor mask of each placement is the running sum of the
+        bits placed before it, ``cumsum(1 << o) - (1 << o)``, so row
+        ``i`` is ``table[o_i, masks_i]`` scattered to the placed types.
+        """
+        n_types = self._pricer.n_types
+        orders = [tuple(o) for o in orderings]
+        if not orders:
             raise ValueError("need at least one ordering")
-        return np.stack(rows, axis=0)
+        by_length: dict[int, list[int]] = {}
+        for i, order in enumerate(orders):
+            by_length.setdefault(len(order), []).append(i)
+        rows = np.zeros((len(orders), n_types))
+        for length, picked in by_length.items():
+            if not length:
+                continue
+            types = np.array([orders[i] for i in picked], dtype=np.int64)
+            outside = (types < 0) | (types >= n_types)
+            if outside.any():
+                raise ValueError(
+                    f"type index {types[outside][0]} out of range"
+                )
+            bits = np.left_shift(1, types)
+            masks = np.cumsum(bits, axis=1) - bits
+            # Before a type's first repeat the running sum is the union
+            # of the distinct bits placed so far.
+            repeated = (masks & bits) != 0
+            if repeated.any():
+                raise ValueError(
+                    f"type {types[repeated][0]} is already placed"
+                )
+            rows[np.array(picked)[:, None], types] = self._table[
+                types, masks
+            ]
+        return rows
 
     def extension_values(
         self, mask: int, types: Sequence[int]
@@ -521,7 +544,11 @@ class LazyPalTable:
       order;
     * one **vectorized sweep per prefix mask** prices every free type at
       once (:meth:`extension_values`) — exactly the greedy append step's
-      need — with per-``(t, mask)`` scalar fills for stray lookups.
+      need;
+    * a batch of orderings (:meth:`pal_rows`, the master's pending
+      columns) walks each ordering once and sweeps the scattered
+      entries it lacks together, with the eager build's per-type
+      pipeline.
 
     Both read the :class:`PalEntryStore` first and sweep only the
     entries it lacks, writing them back; ``entries_computed`` and
@@ -583,6 +610,8 @@ class LazyPalTable:
         # eager build, whose entries this table may share.
         self._shared, self._fields = store._bind(p, p.scenarios.n_scenarios)
         self._consumed: dict[int, np.ndarray] = {}
+        # Swept rows by predecessor mask, and the entries pal_rows
+        # reached outside them by (type, mask).
         self._rows: dict[int, np.ndarray] = {}
         self._entries: dict[tuple[int, int], float] = {}
         self.entries_computed = 0
@@ -591,12 +620,6 @@ class LazyPalTable:
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
-
-    def _key(self, t: int, mask_fields: int) -> int:
-        """The store key of ``table[t, mask]``, given ``mask_fields =
-        _set_fields(self._fields, mask)``."""
-        fields = self._fields
-        return (mask_fields + fields[t]) * len(fields) + t
 
     def _consumed_for(self, mask: int) -> np.ndarray:
         """Per-scenario budget consumed by the types in ``mask``.
@@ -613,7 +636,7 @@ class LazyPalTable:
                 low = mask & -mask
                 cached = (
                     self._consumed_for(mask ^ low)
-                    + self._pricer.contrib[:, low.bit_length() - 1]
+                    + self._pricer.contrib[low.bit_length() - 1]
                 )
             self._consumed[mask] = cached
         return cached
@@ -636,13 +659,14 @@ class LazyPalTable:
         if row is None:
             p = self._pricer
             row = np.zeros(p.n_types)
-            mask_fields = _set_fields(self._fields, mask)
+            fields = self._fields
+            mask_fields = _set_fields(fields, mask)
             missing = []
             keys = []
             for t in range(p.n_types):
                 if mask >> t & 1:
                     continue
-                key = self._key(t, mask_fields)
+                key = (mask_fields + fields[t]) * p.n_types + t
                 value = self._shared.get(key)
                 if value is None:
                     missing.append(t)
@@ -656,10 +680,10 @@ class LazyPalTable:
                 products = np.empty((len(missing), consumed.shape[0]))
                 kernels.extension_products(
                     consumed,
-                    np.ascontiguousarray(p.costs[idx]),
-                    np.ascontiguousarray(p.quota[idx]),
-                    np.ascontiguousarray(p.effective[:, idx].T),
-                    np.ascontiguousarray(p.zsafe[:, idx].T),
+                    p.costs[idx],
+                    p.quota[idx],
+                    p.effective[idx],
+                    p.zsafe[idx],
                     p.weights,
                     float(p.budget),
                     products,
@@ -680,44 +704,114 @@ class LazyPalTable:
         Works for partial orderings too (unplaced types get 0), matching
         the reference walk's semantics.
         """
-        p = self._pricer
-        n_types = p.n_types
-        pal = np.zeros(n_types)
-        mask = 0
-        for t in ordering:
-            t = int(t)
-            if not 0 <= t < n_types:
-                raise ValueError(f"type index {t} out of range")
-            if mask >> t & 1:
-                raise ValueError(f"type {t} is already placed")
-            row = self._rows.get(mask)
-            if row is not None:
-                pal[t] = row[t]
-            else:
-                pal[t] = self._entry(t, mask)
-            mask |= 1 << t
-        return pal
+        return self.pal_rows((ordering,))[0]
 
-    def _entry(self, t: int, mask: int) -> float:
-        """One scalar table entry (memoized) — no full-row sweep."""
-        cached = self._entries.get((t, mask))
-        if cached is None:
-            key = self._key(t, _set_fields(self._fields, mask))
-            cached = self._shared.get(key)
-            if cached is None:
-                p = self._pricer
-                consumed = self._consumed_for(mask)
-                capacity = np.floor((p.budget - consumed) / p.costs[t])
-                np.maximum(capacity, 0.0, out=capacity)
-                audited = np.minimum(
-                    np.minimum(capacity, p.quota[t]), p.effective[:, t]
+    def pal_rows(
+        self, orderings: Iterable[Ordering | Sequence[int]]
+    ) -> np.ndarray:
+        """Stack of ``Pal`` rows, one per complete or partial ordering
+        (in input order).
+
+        Walks each ordering once, building each entry's store key from
+        the running key fields of its predecessors.  An entry comes from
+        a swept row (:meth:`extension_values`), this table's memo or the
+        store; the entries none of them holds are swept together, one
+        pass per type (:meth:`_sweep_entries`), each once however many
+        orderings of the batch reach it.
+        """
+        n_types = self._pricer.n_types
+        fields = self._fields
+        swept_rows = self._rows
+        memo = self._entries
+        shared = self._shared
+        orders = [tuple(o) for o in orderings]
+        if not orders:
+            raise ValueError("need at least one ordering")
+        rows = np.zeros((len(orders), n_types))
+        # Entries no source holds, in first-reached order, and the
+        # (row, type, entry) slots that wait for them.
+        missing: dict[tuple[int, int], int] = {}
+        missing_keys: list[int] = []
+        waiting: list[tuple[int, int, int]] = []
+        for i, order in enumerate(orders):
+            mask = 0
+            mask_fields = 0
+            for t in order:
+                t = int(t)
+                if not 0 <= t < n_types:
+                    raise ValueError(f"type index {t} out of range")
+                if mask >> t & 1:
+                    raise ValueError(f"type {t} is already placed")
+                row = swept_rows.get(mask)
+                if row is not None:
+                    rows[i, t] = row[t]
+                else:
+                    value = memo.get((t, mask))
+                    if value is None:
+                        key = (mask_fields + fields[t]) * n_types + t
+                        value = shared.get(key)
+                        if value is None:
+                            j = missing.setdefault((t, mask), len(missing))
+                            if j == len(missing_keys):
+                                missing_keys.append(key)
+                            waiting.append((i, t, j))
+                        else:
+                            memo[(t, mask)] = value
+                            self.entries_reused += 1
+                    if value is not None:
+                        rows[i, t] = value
+                mask |= 1 << t
+                mask_fields += fields[t]
+        if missing:
+            values = self._sweep_entries(list(missing))
+            shared.update(zip(missing_keys, values, strict=True))
+            memo.update(zip(missing, values, strict=True))
+            self.entries_computed += len(missing)
+            for i, t, j in waiting:
+                rows[i, t] = values[j]
+        return rows
+
+    def _sweep_entries(self, entries: list[tuple[int, int]]) -> list[float]:
+        """``table[t, mask]`` for each ``(t, mask)`` of ``entries``, by
+        the eager build's own pipeline.
+
+        The entries' distinct masks get one consumed row each, and each
+        type's entries are swept by one
+        :func:`~repro.core.kernels.type_products` call and summed with
+        ``.sum(axis=-1)`` onto 0.0, as in :meth:`PalTable._build_table`:
+        an entry's bits do not depend on the batch it is swept in.  A
+        pass holds at most ``_DP_ELEMENT_BUDGET`` consumed and product
+        elements.
+        """
+        p = self._pricer
+        per_pass = max(1, _DP_ELEMENT_BUDGET // (2 * p.scenarios.n_scenarios))
+        values = [0.0] * len(entries)
+        for start in range(0, len(entries), per_pass):
+            part = range(start, min(start + per_pass, len(entries)))
+            masks = list(dict.fromkeys(entries[i][1] for i in part))
+            row_of = {mask: row for row, mask in enumerate(masks)}
+            consumed = np.stack([self._consumed_for(m) for m in masks])
+            by_type: dict[int, list[int]] = {}
+            for i in part:
+                by_type.setdefault(entries[i][0], []).append(i)
+            work = np.empty(
+                (max(map(len, by_type.values())), consumed.shape[1])
+            )
+            for t, picked in sorted(by_type.items()):
+                out = work[: len(picked)]
+                kernels.type_products(
+                    consumed,
+                    np.array([row_of[entries[i][1]] for i in picked]),
+                    float(p.costs[t]),
+                    float(p.quota[t]),
+                    p.effective[t],
+                    p.zsafe[t],
+                    p.weights,
+                    float(p.budget),
+                    out,
                 )
-                ratio = audited / p.zsafe[:, t]
-                # Accumulated onto 0.0 like every other entry.
-                cached = 0.0 + float((ratio * p.weights).sum())
-                self._shared[key] = cached
-                self.entries_computed += 1
-            else:
-                self.entries_reused += 1
-            self._entries[(t, mask)] = cached
-        return cached
+                sums = np.zeros(len(picked))
+                sums += out.sum(axis=-1)
+                for i, value in zip(picked, sums.tolist(), strict=True):
+                    values[i] = value
+        return values

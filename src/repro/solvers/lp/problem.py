@@ -19,6 +19,7 @@ free; the reduced cost of a column ``a_j`` with objective coefficient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,6 +90,15 @@ class LinearProgram:
                     f"need {n} bound pairs, got {len(bounds)}"
                 )
             for lo, hi in bounds:
+                # None is the one way to leave a side unbounded; NaN
+                # would silently read as no bound.
+                if (lo is not None and math.isnan(lo)) or (
+                    hi is not None and math.isnan(hi)
+                ):
+                    raise ValueError(
+                        f"bounds must be numbers or None, not NaN: "
+                        f"({lo}, {hi})"
+                    )
                 if lo is not None and hi is not None and lo > hi:
                     raise ValueError(f"empty bound interval ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)

@@ -12,15 +12,24 @@ answers are therefore bitwise scipy's; what goes is scipy's per-call
 input cleaning and option validation, which on the paper's small
 masters cost more than HiGHS itself.
 
+The model goes to HiGHS as numpy arrays through the binding's array
+overload of ``passModel`` (the C API's ``Highs_passLp`` layout), built
+with numpy index arithmetic: no ``scipy.sparse`` matrix is built and
+no ``HighsLp`` is filled field by field, which together cost more per
+EMR master than the arrays' own assembly.  The overload's conventions
+are documented where the arrays are built (:func:`_highs_model`) and
+passed (:func:`solve_with_scipy`).
+
 Each solve runs in a fresh ``_Highs`` instance, so no solver state
 carries from one solve to the next: every solve is cold.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array
 
 from ... import faults
 from .problem import LinearProgram, LPSolution, LPStatus
@@ -48,34 +57,57 @@ _STATUS_MAP = {
     highs.HighsModelStatus.kIterationLimit: LPStatus.ITERATION_LIMIT,
 }
 
+#: ``passModel``'s matrix-format and objective-sense codes.
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
+
 #: scipy's tolerance for accepting a reported optimum: ``10 * sqrt(tol)``
 #: at its default ``tol=1e-9``.
 FEASIBILITY_TOL = 10.0 * np.sqrt(1e-9)
 
 
-def _highs_model(problem: LinearProgram):
-    """The ``HighsLp`` for ``problem``, with its row and column bounds.
+class _ColwiseModel(NamedTuple):
+    """The arrays of one ``passModel`` call, in the C API's column-wise
+    layout."""
+
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    a_start: np.ndarray
+    a_index: np.ndarray
+    a_value: np.ndarray
+
+
+def _highs_model(problem: LinearProgram) -> _ColwiseModel:
+    """``problem`` as the column-wise arrays HiGHS takes.
+
+    The matrix arrays are those of ``csc_array(np.vstack((a_ub,
+    a_eq)))``, which ``linprog`` hands HiGHS: ``np.nonzero`` of the
+    transposed dense block lists the nonzeros column by column with
+    sorted row indices, and drops exact zeros as ``csc_array`` does.
+    ``a_start`` holds one start per column, the C API's convention:
+    HiGHS ends the last column at the nonzero count.  Index arrays are
+    ``int32``, HiGHS's index type, and every array is C-contiguous:
+    the binding of scipy 1.17 copies a strided or wider-typed array
+    itself, but no documented contract says so.
 
     Raises ``ValueError`` on inf or NaN coefficients, as scipy does
     before it reaches HiGHS.
     """
     n = problem.n_variables
-    no_rows = np.zeros((0, n))
-    matrix = csc_array(
-        np.vstack(
-            (
-                no_rows if problem.a_ub is None else problem.a_ub,
-                no_rows if problem.a_eq is None else problem.a_eq,
-            )
-        )
-    )
+    blocks = [a for a in (problem.a_ub, problem.a_eq) if a is not None]
+    dense = np.vstack(blocks) if blocks else np.zeros((0, n))
+    cols, rows = np.nonzero(dense.T)
+    values = dense[rows, cols]
     b_eq = () if problem.b_eq is None else problem.b_eq
     row_upper = np.concatenate(
         (() if problem.b_ub is None else problem.b_ub, b_eq)
     )
     if not (
         np.isfinite(problem.objective).all()
-        and np.isfinite(matrix.data).all()
+        and np.isfinite(values).all()
         and np.isfinite(row_upper).all()
     ):
         raise ValueError("LP coefficients must not contain inf or nan")
@@ -86,24 +118,20 @@ def _highs_model(problem: LinearProgram):
     # takes +-kHighsInf for infinite bounds.
     lower, upper = np.array(problem.bounds, dtype=np.float64).T
     inf = highs.kHighsInf
-    lower = np.nan_to_num(lower, nan=-inf, posinf=inf, neginf=-inf)
-    upper = np.nan_to_num(upper, nan=inf, posinf=inf, neginf=-inf)
-
-    model = highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = row_upper.size
-    model.col_cost_ = problem.objective
-    model.col_lower_ = lower
-    model.col_upper_ = upper
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
-    model.a_matrix_.num_col_ = n
-    model.a_matrix_.num_row_ = row_upper.size
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = matrix.indptr
-    model.a_matrix_.index_ = matrix.indices
-    model.a_matrix_.value_ = matrix.data
-    return model, lower, upper, row_upper
+    return _ColwiseModel(
+        cost=np.ascontiguousarray(problem.objective),
+        col_lower=np.ascontiguousarray(
+            np.nan_to_num(lower, nan=-inf, posinf=inf, neginf=-inf)
+        ),
+        col_upper=np.ascontiguousarray(
+            np.nan_to_num(upper, nan=inf, posinf=inf, neginf=-inf)
+        ),
+        row_lower=row_lower,
+        row_upper=row_upper,
+        a_start=np.searchsorted(cols, np.arange(n)).astype(np.int32),
+        a_index=rows.astype(np.int32),
+        a_value=values,
+    )
 
 
 def optimum_status(x, objective, slack, residual, lower, upper) -> str:
@@ -136,33 +164,60 @@ def solve_with_scipy(problem: LinearProgram) -> LPSolution:
     # An injected failure here exercises the scipy -> simplex fallback
     # in repro.solvers.lp.backend.
     faults.point("solvers.lp.scipy")
-    model, lower, upper, row_upper = _highs_model(problem)
+    model = _highs_model(problem)
     solver = highs._Highs()
     solver.passOptions(_OPTIONS)
-    if solver.passModel(model) == highs.HighsStatus.kError:
+    n = problem.n_variables
+    # The binding's array overload.  Its integrality array holds one 0
+    # (continuous) per column: an empty one is not read as "all
+    # continuous" (on scipy 1.17 an empty float array fails the pass
+    # with an empty model).
+    passed = solver.passModel(
+        n,
+        model.row_upper.size,
+        model.a_value.size,
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        model.cost,
+        model.col_lower,
+        model.col_upper,
+        model.row_lower,
+        model.row_upper,
+        model.a_start,
+        model.a_index,
+        model.a_value,
+        np.zeros(n, dtype=np.int32),
+    )
+    if passed == highs.HighsStatus.kError:
         model_status = highs.HighsModelStatus.kModelError
     else:
         # A run error leaves no solution to read, whatever the status.
         solved = solver.run() != highs.HighsStatus.kError
         model_status = solver.getModelStatus()
         if solved and model_status == highs.HighsModelStatus.kOptimal:
-            return _read_optimum(solver, problem, lower, upper, row_upper)
+            return _read_optimum(solver, problem, model)
     return LPSolution(
         status=_STATUS_MAP.get(model_status, LPStatus.NUMERICAL_ERROR),
         message=solver.modelStatusToString(model_status),
     )
 
 
-def _read_optimum(solver, problem, lower, upper, row_upper) -> LPSolution:
+def _read_optimum(solver, problem, model: _ColwiseModel) -> LPSolution:
     """Read back an optimal solve, through scipy's feasibility gate."""
     n_ub = problem.n_ub_rows
     solution = solver.getSolution()
     info = solver.getInfo()
     x = np.array(solution.col_value)
     objective = info.objective_function_value
-    slack = row_upper - solution.row_value
+    slack = model.row_upper - solution.row_value
     status = optimum_status(
-        x, objective, slack[:n_ub], slack[n_ub:], lower, upper
+        x,
+        objective,
+        slack[:n_ub],
+        slack[n_ub:],
+        model.col_lower,
+        model.col_upper,
     )
     if status != LPStatus.OPTIMAL:
         return LPSolution(

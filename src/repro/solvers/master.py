@@ -15,9 +15,12 @@ CGGS, enumeration, ISHM and the baselines share one pricing path.
 
 The LP layer is *incremental* and *structure-exploiting*:
 
-* :meth:`MasterProblem.add_ordering` appends one cached column vector in
-  O(rows); solves assemble the constraint blocks from growable arrays
-  instead of restacking the full ``(Q, E, V)`` utility tensor per solve.
+* :meth:`MasterProblem.add_ordering` only records an ordering; the next
+  build prices every pending column in one batch — their ``Pal`` rows
+  from one table call (:meth:`PolicyContext.pal_rows`), their LP
+  columns from one affine map over the deduplicated rows — into the
+  column store, instead of one full ``(E, V)`` utility matrix per
+  column.
 * Every :meth:`MasterProblem.solve` is one cold
   :func:`~repro.solvers.lp.solve_lp` call on the assembled LP; no basis
   or other solver state carries from one solve to the next.
@@ -40,7 +43,7 @@ from ..core.attack_map import AttackTypeMap
 from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
 from ..core.pal_table import LazyPalTable, PalEntryStore, PalTable
-from ..core.objective import best_responses
+from ..core.objective import best_response_arrays
 from ..core.payoffs import PayoffModel
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
@@ -268,6 +271,21 @@ class PolicyContext:
             self._pal_cache[key] = cached
         return cached
 
+    def pal_rows(
+        self, orderings: Sequence[Ordering | Sequence[int]]
+    ) -> np.ndarray:
+        """``Pal`` rows of ``orderings``, stacked in input order and
+        cached like :meth:`pal`; the misses are priced by one
+        :meth:`~repro.core.pal_table.PalTable.pal_rows` table call."""
+        keys = [tuple(o) for o in orderings]
+        cache = self._pal_cache
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missing:
+            cache.update(
+                zip(missing, self.pal_table().pal_rows(missing), strict=True)
+            )
+        return np.stack([cache[key] for key in keys])
+
     def seed_pal(
         self, ordering: Ordering | Sequence[int], pal: np.ndarray
     ) -> None:
@@ -427,11 +445,13 @@ class MasterProblem:
         e_rows, _ = context.representative_rows
         self._n_rows = len(e_rows)
         self._n_e = context.game.n_adversaries
-        # Growable column store: _col_buf[:, :n_columns] holds one
-        # deduplicated-row utility column per ordering, _pal_buf one
-        # detection row (for the post-solve objective recompute).
-        self._col_buf = np.empty((self._n_rows, 16))
-        self._pal_buf = np.empty((16, context.game.n_types))
+        # Column store: one deduplicated-row utility column and one
+        # detection row (for the post-solve objective recompute) per
+        # priced ordering.  Orderings past the priced ones wait for the
+        # next batch.
+        self._columns = np.empty((self._n_rows, 0))
+        self._pal_rows = np.empty((0, context.game.n_types))
+        self._affine: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._u_block: np.ndarray | None = None
         self.lp_calls = 0
         self.lp_seconds = 0.0
@@ -448,9 +468,8 @@ class MasterProblem:
     def add_ordering(self, ordering: Ordering) -> bool:
         """Add a column; returns False when already present.
 
-        Appends the ordering's deduplicated-row utility column to the
-        growable column store in O(rows) — no constraint matrix is
-        rebuilt until the next :meth:`solve`.
+        Only records the ordering: the next :meth:`build_lp` (and so
+        :meth:`solve`) prices every pending column in one batch.
         """
         key = tuple(ordering)
         if key in self._keys:
@@ -459,23 +478,53 @@ class MasterProblem:
             raise ValueError(
                 f"master columns must be complete orderings, got {key}"
             )
-        e_rows, v_rows = self.context.representative_rows
-        column = self.context.utilities(ordering)[e_rows, v_rows]
-        n_q = len(self._orderings)
-        if n_q == self._col_buf.shape[1]:
-            grown = np.empty((self._n_rows, max(2 * n_q, 16)))
-            grown[:, :n_q] = self._col_buf[:, :n_q]
-            self._col_buf = grown
-            grown_pal = np.empty(
-                (max(2 * n_q, 16), self.context.game.n_types)
-            )
-            grown_pal[:n_q] = self._pal_buf[:n_q]
-            self._pal_buf = grown_pal
-        self._col_buf[:, n_q] = column
-        self._pal_buf[n_q] = self.context.pal(ordering)
         self._keys.add(key)
         self._orderings.append(ordering)
         return True
+
+    def _price(
+        self, orderings: Sequence[Ordering | Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(Pal rows, LP columns)`` of ``orderings``, one column each.
+
+        The ``Pal`` rows come from one table call through the context.
+        Under the stock kernels (:func:`utilities_linear_in_pal`) the
+        columns are one affine map over the representative rows,
+        ``gain - (P @ Pal.T) * swing`` with ``gain = R - K`` and ``swing
+        = M + R``: :meth:`~repro.core.payoffs.PayoffModel.utility_matrix`'s
+        operations in its order.  Every shipped attack map is one-hot, so
+        each entry of ``P @ Pal.T`` has one nonzero term and is exact in
+        any summation order: the columns are bitwise the per-ordering
+        utility matrices' entries.  Other games price one utility matrix
+        per column.
+        """
+        context = self.context
+        pal = context.pal_rows(orderings)
+        e_rows, v_rows = context.representative_rows
+        if not utilities_linear_in_pal(context.game):
+            columns = np.stack(
+                [context.utilities(o)[e_rows, v_rows] for o in orderings],
+                axis=1,
+            )
+            return pal, columns
+        if self._affine is None:
+            payoffs = context.game.payoffs
+            benefit = payoffs.benefit[e_rows, v_rows]
+            self._affine = (
+                benefit - payoffs.attack_cost[e_rows, v_rows],
+                payoffs.penalty[e_rows, v_rows] + benefit,
+                context.game.attack_map.probabilities[e_rows, v_rows],
+            )
+        gain, swing, probs = self._affine
+        return pal, gain[:, None] - (probs @ pal.T) * swing[:, None]
+
+    def _price_pending(self) -> None:
+        """Price the columns added since the last build in one batch."""
+        pending = self._orderings[self._pal_rows.shape[0]:]
+        if pending:
+            pal, columns = self._price(pending)
+            self._columns = np.hstack((self._columns, columns))
+            self._pal_rows = np.vstack((self._pal_rows, pal))
 
     # ------------------------------------------------------------------
     # LP assembly
@@ -501,16 +550,18 @@ class MasterProblem:
 
         One ``<=`` row per *representative* attack (see
         :meth:`PolicyContext.representative_rows_for`):
-        ``sum_o p_o Ua_o[e, v] - u_e <= 0``.  Assembly copies the cached
-        column store and static blocks; nothing is re-priced.
+        ``sum_o p_o Ua_o[e, v] - u_e <= 0``.  Assembly prices the
+        pending columns, then copies the column store and static blocks;
+        no column is priced twice.
         """
         if not self._orderings:
             raise RuntimeError("master problem has no columns")
+        self._price_pending()
         n_q = len(self._orderings)
         u_block, a_eq, c, bounds = self._static_blocks(n_q)
 
         a_ub = np.empty((self._n_rows, n_q + self._n_e))
-        a_ub[:, :n_q] = self._col_buf[:, :n_q]
+        a_ub[:, :n_q] = self._columns
         a_ub[:, n_q:] = u_block
         b_ub = np.zeros(self._n_rows)
         b_eq = np.array([1.0])
@@ -552,11 +603,10 @@ class MasterProblem:
         # Recompute utilities at the (renormalized) mixed strategy so the
         # reported objective is self-consistent.
         game = self.context.game
-        mixed_pal = probs @ self._pal_buf[:n_q]
+        mixed_pal = probs @ self._pal_rows
         pat = game.attack_map.detection_probability(mixed_pal)
         eu = game.payoffs.utility_matrix(pat)
-        responses = best_responses(eu, game.payoffs)
-        utilities = np.array([r.utility for r in responses])
+        _, utilities = best_response_arrays(eu, game.payoffs)
         objective = game.payoffs.auditor_loss(utilities)
         fixed = FixedThresholdSolution(
             policy=policy,
@@ -576,12 +626,14 @@ class MasterProblem:
         The column has coefficient ``Ua_o[e, v]`` in every attack row,
         coefficient 1 in the convexity row, and objective coefficient 0;
         negative reduced cost means adding it can improve the master.
+        It is priced as a one-column batch of the code that prices the
+        LP's columns, so CGGS's stopping test reads the column the next
+        LP gets.
         """
-        e_rows, v_rows = self.context.representative_rows
-        utilities = self.context.utilities(ordering)
+        _, column = self._price([ordering])
         return solution.reduced_cost(
             column_objective=0.0,
-            column_ub=utilities[e_rows, v_rows],
+            column_ub=column[:, 0],
             column_eq=np.array([1.0]),
         )
 

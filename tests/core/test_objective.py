@@ -7,12 +7,13 @@ from repro.core import (
     AuditPolicy,
     Ordering,
     PayoffModel,
+    best_response_arrays,
     best_responses,
     evaluate_policy,
     expected_utility_matrix,
     utility_matrix_for_pal,
 )
-from repro.core.objective import REFRAIN
+from repro.core.objective import REFRAIN, REFRAIN_TIE_TOL
 
 
 def simple_payoffs(refrain=False):
@@ -50,6 +51,91 @@ class TestBestResponses:
         eu = np.array([[0.0, -1.0], [0.0, 0.0]])
         responses = best_responses(eu, simple_payoffs(refrain=True))
         assert not responses[0].deterred
+
+
+def looped_best_responses(eu, payoffs, tie_tol=REFRAIN_TIE_TOL):
+    """The per-adversary loop the vectorized best response replaced."""
+    out = []
+    for e in range(eu.shape[0]):
+        v = int(np.argmax(eu[e]))
+        value = float(eu[e, v])
+        if payoffs.attackers_can_refrain and value < -tie_tol:
+            out.append((e, REFRAIN, 0.0))
+        else:
+            out.append((e, v, value))
+    return out
+
+
+def awkward_utilities(rng, n_adversaries=12, n_victims=5):
+    """Random utilities with ties, NaN rows and values within the
+    refrain tie tolerance of 0."""
+    eu = rng.normal(size=(n_adversaries, n_victims))
+    eu[0] = 1.5  # an all-tie row
+    eu[1, [1, 3]] = eu[1].max() + 1.0  # a tie for the maximum
+    eu[2, 2] = np.nan
+    eu[3] = np.nan
+    eu[4] = -REFRAIN_TIE_TOL / 2  # attacks, just above -tol
+    eu[5] = -2 * REFRAIN_TIE_TOL  # refrains, just below -tol
+    eu[6] = -0.0
+    eu[7] = -REFRAIN_TIE_TOL  # at -tol exactly: attacks
+    return eu
+
+
+class TestVectorizedBestResponses:
+    @pytest.mark.parametrize("refrain", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_to_the_loop(self, seed, refrain):
+        eu = awkward_utilities(np.random.default_rng(seed))
+        payoffs = PayoffModel.create(
+            n_adversaries=eu.shape[0],
+            n_victims=eu.shape[1],
+            benefit=1.0,
+            penalty=1.0,
+            attack_cost=0.0,
+            attackers_can_refrain=refrain,
+        )
+        want = looped_best_responses(eu, payoffs)
+        got = [
+            (r.adversary, r.victim, r.utility)
+            for r in best_responses(eu, payoffs)
+        ]
+        victims, utilities = best_response_arrays(eu, payoffs)
+        assert [(e, v) for e, v, _ in got] == [(e, v) for e, v, _ in want]
+        assert victims.tolist() == [v for _, v, _ in want]
+        # Bitwise, NaN included: compare the bytes.
+        want_u = np.array([u for _, _, u in want])
+        assert np.array([u for _, _, u in got]).tobytes() == (
+            want_u.tobytes()
+        )
+        assert utilities.tobytes() == want_u.tobytes()
+        assert all(type(v) is int and type(u) is float for _, v, u in got)
+
+    def test_refrain_cases(self):
+        eu = awkward_utilities(np.random.default_rng(0))
+        payoffs = PayoffModel.create(
+            n_adversaries=eu.shape[0],
+            n_victims=eu.shape[1],
+            benefit=1.0,
+            penalty=1.0,
+            attack_cost=0.0,
+            attackers_can_refrain=True,
+        )
+        victims, utilities = best_response_arrays(eu, payoffs)
+        assert victims[[4, 6, 7]].tolist() == [0, 0, 0]
+        assert victims[5] == REFRAIN and utilities[5] == 0.0
+        assert victims[2] == 2 and np.isnan(utilities[2])
+        assert victims[3] == 0 and np.isnan(utilities[3])
+
+    def test_no_adversaries(self):
+        payoffs = PayoffModel.create(
+            n_adversaries=0, n_victims=0, benefit=1.0, penalty=1.0,
+            attack_cost=0.0,
+        )
+        victims, utilities = best_response_arrays(
+            np.zeros((0, 0)), payoffs
+        )
+        assert victims.shape == utilities.shape == (0,)
+        assert best_responses(np.zeros((0, 0)), payoffs) == []
 
 
 class TestExpectedUtilityMatrix:

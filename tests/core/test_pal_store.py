@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def pricer(thresholds, rule="unit", scenarios=SCENARIOS, costs=COSTS,
 
 def lazy_entries(table: LazyPalTable) -> list[np.ndarray]:
     """Every entry of a lazy table, reached through both of its paths:
-    scalar fills (``pal`` of orderings before any row exists) and the
+    entry fills (``pal`` of orderings before any row exists) and the
     per-mask row sweeps (``extension_values``)."""
     rows = [table.pal(o) for o in all_orderings(N_TYPES)[::5]]
     for mask in range(1 << N_TYPES):
@@ -141,6 +142,121 @@ class TestColdEquality:
         second.extension_values(0, range(N_TYPES))
         second.pal((1, 0))
         assert (second.entries_computed, second.entries_reused) == (1, 4)
+
+
+@lru_cache(maxsize=None)
+def scenarios_for(n_types: int) -> ScenarioSet:
+    """40 sampled scenarios with zero counts, so both rules differ."""
+    joint = JointCountModel(
+        [DiscretizedGaussian(1.0 + 0.5 * t, 1.0) for t in range(n_types)]
+    )
+    return joint.sample_scenarios(40, np.random.default_rng(n_types))
+
+
+@st.composite
+def batch_worlds(draw):
+    """A game of 2-6 types with mixed costs, two threshold vectors that
+    differ in one type, and a batch of complete and partial orderings
+    (repeats allowed)."""
+    n_types = draw(st.integers(2, 6))
+    costs = np.array(
+        draw(
+            st.lists(
+                st.sampled_from((0.5, 1.0, 1.5, 2.0)),
+                min_size=n_types,
+                max_size=n_types,
+            )
+        )
+    )
+    rule = draw(st.sampled_from(["unit", "strict"]))
+    first = draw(
+        st.lists(st.sampled_from(GRID), min_size=n_types, max_size=n_types)
+    )
+    moved = draw(st.integers(0, n_types - 1))
+    second = list(first)
+    second[moved] = draw(
+        st.sampled_from([g for g in GRID if g != first[moved]])
+    )
+    orders = draw(
+        st.lists(
+            st.tuples(
+                st.permutations(range(n_types)), st.integers(1, n_types)
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    orderings = [tuple(perm[:length]) for perm, length in orders]
+    return n_types, costs, rule, (first, second), orderings
+
+
+def batch_pricer(n_types, costs, rule, thresholds) -> OrderingPricer:
+    return pricer(
+        thresholds, rule, scenarios=scenarios_for(n_types), costs=costs
+    )
+
+
+class TestBatchedLazyRows:
+    @given(batch_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_eager_table(self, world):
+        n_types, costs, rule, vectors, orderings = world
+        store = PalEntryStore()
+        for b in vectors:
+            lazy = LazyPalTable.from_pricer(
+                batch_pricer(n_types, costs, rule, b), store=store
+            )
+            eager = PalTable.from_pricer(
+                batch_pricer(n_types, costs, rule, b)
+            )
+            want = np.stack([eager.pal(o) for o in orderings])
+            assert lazy.pal_rows(orderings).tobytes() == want.tobytes()
+
+    @given(batch_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_a_batch_prices_like_one_ordering_at_a_time(self, world):
+        n_types, costs, rule, vectors, orderings = world
+        batch_store, single_store = PalEntryStore(), PalEntryStore()
+        for b in vectors:
+            batch = LazyPalTable.from_pricer(
+                batch_pricer(n_types, costs, rule, b), store=batch_store
+            )
+            single = LazyPalTable.from_pricer(
+                batch_pricer(n_types, costs, rule, b), store=single_store
+            )
+            rows = batch.pal_rows(orderings)
+            one_by_one = np.stack([single.pal(o) for o in orderings])
+            assert rows.tobytes() == one_by_one.tobytes()
+            assert (batch.entries_computed, batch.entries_reused) == (
+                single.entries_computed,
+                single.entries_reused,
+            )
+            assert len(batch_store) == len(single_store)
+
+    def test_each_missing_entry_is_swept_once(self):
+        store = PalEntryStore()
+        table = LazyPalTable.from_pricer(
+            pricer((1.5, 0.5, 2.5, 4.0)), store=store
+        )
+        rows = table.pal_rows([(0, 1, 2, 3), (0, 1, 3, 2), (0, 1)])
+        # (0,1,...) share table[0, {}] and table[1, {0}]: 2 + 2 + 2.
+        assert (table.entries_computed, table.entries_reused) == (6, 0)
+        assert len(store) == 6
+        assert rows[2, 2:].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "orderings, message",
+        [
+            ([(0, 1), (0, 4)], "out of range"),
+            ([(0, 1), (2, -1)], "out of range"),
+            ([(0, 1, 2, 3), (1, 2, 1)], "already placed"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [PalTable, LazyPalTable])
+    def test_rejects_bad_orderings(self, kind, orderings, message):
+        table = kind.from_pricer(pricer((1.5, 0.5, 2.5, 4.0)))
+        with pytest.raises(ValueError, match=message):
+            table.pal_rows(orderings)
 
 
 class TestStoredEntriesDeriveNothing:

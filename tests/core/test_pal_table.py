@@ -96,6 +96,23 @@ class TestSubsetTableEquivalence:
             placed[list(o)] = True
             assert np.all(got[~placed] == 0.0)
 
+    def test_pal_rows_equal_the_lookup_loop(self, rng):
+        """The one-gather batch == one table lookup per placement, over
+        orderings of every length mixed in one batch."""
+        b, sc, costs, budget = random_world(rng, 5)
+        table = PalTable(b, sc, costs, budget)
+        orders = [
+            tuple(rng.permutation(5)[: rng.integers(0, 6)])
+            for _ in range(40)
+        ]
+        want = np.zeros((len(orders), 5))
+        for i, order in enumerate(orders):
+            mask = 0
+            for t in order:
+                want[i, t] = table.table[t, mask]
+                mask |= 1 << t
+        assert table.pal_rows(orders).tobytes() == want.tobytes()
+
     def test_scenario_chunking_matches_single_chunk(self, rng):
         b, sc, costs, budget = random_world(rng, 4, n_scenarios=257)
         whole = PalTable(b, sc, costs, budget)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from repro.datasets import rea_a, syn_a
 from repro.engine import AuditEngine
@@ -23,6 +24,7 @@ from repro.solvers.lp import (
     solve_with_simplex,
 )
 from repro.solvers.lp import backend as lp_backend
+from repro.solvers.lp.scipy_backend import _highs_model
 
 _LINPROG_STATUS = {
     0: LPStatus.OPTIMAL,
@@ -261,3 +263,64 @@ class TestLinprogParity:
             linprog_reference(lp)
         with pytest.raises(ValueError):
             solve_with_scipy(lp)
+
+
+def assert_highs_arrays_are_linprogs(lp: LinearProgram) -> None:
+    """The arrays handed to HiGHS are the ``csc_array`` ``linprog``
+    builds, plus the LP's own costs and bounds."""
+    model = _highs_model(lp)
+    no_rows = np.zeros((0, lp.n_variables))
+    matrix = csc_array(
+        np.vstack(
+            (
+                no_rows if lp.a_ub is None else lp.a_ub,
+                no_rows if lp.a_eq is None else lp.a_eq,
+            )
+        )
+    )
+    assert model.a_start.tolist() == matrix.indptr[:-1].tolist()
+    assert matrix.indptr[-1] == model.a_value.size
+    assert model.a_index.tolist() == matrix.indices.tolist()
+    assert model.a_value.tobytes() == matrix.data.tobytes()
+    assert model.cost.tobytes() == lp.objective.tobytes()
+    lower = [-np.inf if lo is None else lo for lo, _ in lp.bounds]
+    upper = [np.inf if hi is None else hi for _, hi in lp.bounds]
+    assert model.col_lower.tolist() == lower
+    assert model.col_upper.tolist() == upper
+    b_ub = [] if lp.b_ub is None else lp.b_ub.tolist()
+    b_eq = [] if lp.b_eq is None else lp.b_eq.tolist()
+    assert model.row_lower.tolist() == [-np.inf] * len(b_ub) + b_eq
+    assert model.row_upper.tolist() == b_ub + b_eq
+    for name, array in model._asdict().items():
+        assert array.flags.c_contiguous, name
+    for array in (model.a_start, model.a_index):
+        assert array.dtype == np.int32
+
+
+class TestHighsArrays:
+    """The column-wise arrays passed to HiGHS, against ``linprog``'s."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_hand_cases(self, case):
+        assert_highs_arrays_are_linprogs(PARITY_CASES[case])
+
+    def test_every_master_lp(self, master_lps):
+        for lp in master_lps:
+            assert_highs_arrays_are_linprogs(lp)
+
+    @given(feasible_lp())
+    @settings(max_examples=30, deadline=None)
+    def test_random_lps(self, lp):
+        assert_highs_arrays_are_linprogs(lp)
+
+    def test_strided_bounds_and_costs_are_copied(self):
+        costs = np.arange(6.0)[::2]
+        lp = LinearProgram(
+            objective=costs,
+            a_ub=np.array([[1.0, 0.0, -0.0]]),
+            b_ub=np.array([1.0]),
+            bounds=((0.0, 1.0), (None, 2.0), (-1.0, None)),
+        )
+        assert not lp.objective.flags.c_contiguous
+        assert_highs_arrays_are_linprogs(lp)
+        assert_bitwise_equal(solve_with_scipy(lp), linprog_reference(lp))

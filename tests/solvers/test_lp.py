@@ -104,6 +104,20 @@ class TestLinearProgram:
                 objective=np.array([1.0]), bounds=((2.0, 1.0),)
             )
 
+    def test_rejects_nan_upper_bound(self):
+        # Unchecked, this LP solved as UNBOUNDED: NaN read as no bound.
+        with pytest.raises(ValueError, match="NaN"):
+            LinearProgram(
+                objective=np.array([-1.0]), bounds=((0.0, np.nan),)
+            )
+
+    def test_rejects_nan_lower_bound(self):
+        # Unchecked, the lower bound was silently dropped.
+        with pytest.raises(ValueError, match="NaN"):
+            LinearProgram(
+                objective=np.array([1.0]), bounds=((np.nan, None),)
+            )
+
     def test_reduced_cost_helper(self):
         lp = LinearProgram(
             objective=np.array([1.0]),

@@ -2,7 +2,8 @@
 
 Covers the structure-exploiting LP layer:
 
-* O(rows) column appends assemble the same LP as the legacy restack;
+* batched column pricing assembles the same LP as the legacy restack of
+  per-ordering utility matrices (bitwise on one-hot attack maps);
 * the shared :class:`MasterSkeleton` changes nothing numerically;
 * the closed-form CGGS oracle matches the generic per-candidate oracle.
 """
@@ -17,6 +18,7 @@ from repro.core import (
     all_orderings,
     random_ordering,
 )
+from repro.datasets import rea_a, rea_b, syn_a
 from repro.solvers import (
     CGGSSolver,
     EnumerationSolver,
@@ -24,6 +26,8 @@ from repro.solvers import (
     MasterSkeleton,
     PolicyContext,
 )
+from repro.solvers.master import utilities_linear_in_pal
+from tests.solvers.test_ishm_screen import _custom_payoff_game, _random_game
 
 THRESHOLD_GRID = [
     np.array([3.0, 3.0, 3.0, 3.0]),
@@ -37,7 +41,7 @@ class TestIncrementalAssembly:
     def test_lp_matches_reference_stack(
         self, syn_a_game, syn_a_scenarios
     ):
-        """Growable-buffer assembly == restacking the utility tensor."""
+        """Batched column assembly == restacking the utility tensor."""
         context = PolicyContext(
             syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
         )
@@ -85,16 +89,126 @@ class TestIncrementalAssembly:
     def test_growth_beyond_initial_capacity(
         self, syn_a_game, syn_a_scenarios
     ):
-        """The column buffer doubles transparently past 16 columns."""
+        """All 24 columns, priced in one batch, reach the optimum."""
         context = PolicyContext(
             syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
         )
         master = MasterProblem(context)
-        for o in all_orderings(4):  # 24 > 16: forces one regrowth
+        for o in all_orderings(4):
             master.add_ordering(o)
         assert master.n_columns == 24
         fixed, _ = master.solve()
         assert fixed.objective == pytest.approx(-3.3868, abs=2e-3)
+
+
+def batched_and_stacked(game, orderings, lazy=False):
+    """The master's utility block, and the per-ordering utility
+    matrices' representative entries stacked as columns."""
+    scenarios = game.scenario_set(rng=np.random.default_rng(0))
+    context = PolicyContext(
+        game, scenarios, game.threshold_upper_bounds() / 2.0, lazy=lazy
+    )
+    master = MasterProblem(context)
+    for o in orderings:
+        master.add_ordering(o)
+    lp = master.build_lp()
+    e_rows, v_rows = context.representative_rows
+    stacked = np.stack(
+        [context.utilities(o)[e_rows, v_rows] for o in orderings], axis=1
+    )
+    return lp.a_ub[:, : len(orderings)], stacked
+
+
+def some_orderings(n_types, count=20, seed=0):
+    rng = np.random.default_rng(seed)
+    unique = {tuple(random_ordering(n_types, rng)) for _ in range(count)}
+    return [Ordering(o) for o in sorted(unique)]
+
+
+class TestBatchedColumns:
+    @pytest.mark.parametrize(
+        "make, lazy",
+        [
+            (lambda: syn_a(budget=10), False),
+            (lambda: rea_a(budget=50), True),
+            (lambda: rea_b(budget=50), True),
+        ],
+        ids=["syn_a", "rea_a", "credit"],
+    )
+    def test_bitwise_on_one_hot_maps(self, make, lazy):
+        game = make()
+        assert utilities_linear_in_pal(game)
+        got, want = batched_and_stacked(
+            game, some_orderings(game.n_types), lazy=lazy
+        )
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_close_on_a_dirichlet_map(self, seed):
+        rng = np.random.default_rng(seed)
+        game = _random_game(rng, refrain=bool(seed % 2))
+        got, want = batched_and_stacked(
+            game, all_orderings(game.n_types), lazy=True
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_overridden_kernel_takes_the_generic_path(self):
+        game = _custom_payoff_game(syn_a(budget=2))
+        assert not utilities_linear_in_pal(game)
+        got, want = batched_and_stacked(game, all_orderings(4))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduced_cost_reads_the_next_lps_column(self, seed):
+        """A candidate's reduced cost is priced from the column the LP
+        gets once the candidate is added, on a non-one-hot map too."""
+        game = _random_game(np.random.default_rng(seed), refrain=False)
+        scenarios = game.scenario_set(rng=np.random.default_rng(0))
+        context = PolicyContext(
+            game, scenarios, game.threshold_upper_bounds() / 2.0, lazy=True
+        )
+        master = MasterProblem(context)
+        first, *rest = all_orderings(game.n_types)
+        master.add_ordering(first)
+        _, solution = master.solve()
+        for candidate in rest:
+            reduced = master.reduced_cost(solution, candidate)
+            master.add_ordering(candidate)
+            # A contiguous copy: a dot product over a strided column may
+            # round differently.
+            column = master.build_lp().a_ub[:, -game.n_adversaries - 1]
+            assert reduced == solution.reduced_cost(
+                column_objective=0.0,
+                column_ub=column.copy(),
+                column_eq=np.array([1.0]),
+            )
+            _, solution = master.solve()
+
+    def test_add_ordering_defers_pricing(
+        self, syn_a_game, syn_a_scenarios, monkeypatch
+    ):
+        context = PolicyContext(
+            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
+        )
+        batches = []
+        original = PolicyContext.pal_rows
+
+        def record(self, orderings):
+            batches.append(len(orderings))
+            return original(self, orderings)
+
+        monkeypatch.setattr(PolicyContext, "pal_rows", record)
+        master = MasterProblem(context)
+        for o in all_orderings(4)[:5]:
+            assert master.add_ordering(o)
+        assert not master.add_ordering(all_orderings(4)[0])
+        assert batches == []
+        master.solve()
+        master.add_ordering(all_orderings(4)[5])
+        master.solve()
+        assert batches == [5, 1]
+        with pytest.raises(ValueError, match="complete"):
+            master.add_ordering(Ordering((0, 1)))
 
 
 class TestSkeletonReuse:
