@@ -40,7 +40,7 @@ from repro.datasets import syn_a
 from repro.distributions import DiscretizedGaussian, JointCountModel
 from repro.engine import AuditEngine
 from repro.solvers.enumeration import EnumerationSolver
-from repro.solvers.ishm import run_iterative_shrink
+from repro.solvers.ishm import per_row, run_iterative_shrink
 
 #: Joint supports beyond this size are sampled instead of enumerated.
 EXACT_LIMIT = 40_000
@@ -117,7 +117,9 @@ def ishm_probes(game, scenarios, step_size: float) -> list[np.ndarray]:
         probes.append(np.array(thresholds, dtype=np.float64))
         return solver.solve(thresholds)
 
-    run_iterative_shrink(game, scenarios, step_size, solver=record)
+    run_iterative_shrink(
+        game, scenarios, step_size, batch_solver=per_row(record)
+    )
     return probes
 
 

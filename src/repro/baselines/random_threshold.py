@@ -17,11 +17,7 @@ import numpy as np
 from ..core.game import AuditGame
 from ..core.policy import AuditPolicy
 from ..distributions.joint import ScenarioSet
-from ..solvers.ishm import (
-    BatchFixedSolver,
-    FixedSolver,
-    make_fixed_solver,
-)
+from ..solvers.ishm import BatchFixedSolver, make_fixed_solver, per_row
 
 __all__ = ["RandomThresholdBaseline", "RandomThresholdOutcome"]
 
@@ -55,34 +51,26 @@ class RandomThresholdBaseline:
         scenarios: ScenarioSet,
         n_draws: int = 100,
         rng: np.random.Generator | None = None,
-        solver: FixedSolver | None = None,
         batch_solver: BatchFixedSolver | None = None,
     ) -> None:
         """``batch_solver`` prices all draws as one ``(n_draws, T)`` batch.
 
-        Safe only when the pricer's randomness is independent of
-        ``rng`` (the engine's cached solvers are): the thresholds are
-        then drawn up front in the same rng order as the serial
-        draw/solve interleaving, so results are identical.  The default
-        serial solver shares ``rng`` with the draws and must stay
-        interleaved; passing both ``solver`` and ``batch_solver`` is an
-        error.
+        Every threshold vector is drawn before any is priced.  The
+        default maps a fresh ``make_fixed_solver(game, scenarios,
+        rng=rng)`` over the draws; when it resolves to CGGS, that
+        solver shares ``rng`` with the draws and starts drawing from it
+        after the last threshold vector.
         """
         if n_draws <= 0:
             raise ValueError(f"n_draws must be positive, got {n_draws}")
-        if solver is not None and batch_solver is not None:
-            raise ValueError(
-                "pass either solver or batch_solver, not both"
-            )
         self.game = game
         self.scenarios = scenarios
         self.n_draws = n_draws
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.batch_solver = batch_solver
-        self.solver = (
-            solver
-            if solver is not None or batch_solver is not None
-            else make_fixed_solver(game, scenarios, rng=self.rng)
+        self.batch_solver = (
+            batch_solver
+            if batch_solver is not None
+            else per_row(make_fixed_solver(game, scenarios, rng=self.rng))
         )
 
     def _draw_thresholds(self) -> np.ndarray:
@@ -111,19 +99,10 @@ class RandomThresholdBaseline:
         losses = np.empty(self.n_draws)
         best_policy: AuditPolicy | None = None
         best_loss = np.inf
-        if self.batch_solver is not None:
-            draws = np.stack(
-                [self._draw_thresholds() for _ in range(self.n_draws)]
-            )
-            solutions = self.batch_solver(draws)
-        else:
-            draws = None
-            solutions = None
-        for draw in range(self.n_draws):
-            if solutions is not None:
-                solution = solutions[draw]
-            else:
-                solution = self.solver(self._draw_thresholds())
+        draws = np.stack(
+            [self._draw_thresholds() for _ in range(self.n_draws)]
+        )
+        for draw, solution in enumerate(self.batch_solver(draws)):
             losses[draw] = solution.objective
             if solution.objective < best_loss:
                 best_loss = solution.objective

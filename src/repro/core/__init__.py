@@ -10,10 +10,9 @@ from .alert_types import AlertType, AlertTypeSet
 from .attack_map import BENIGN, AttackTypeMap
 from .detection import (
     OrderingPricer,
-    audited_counts,
     pal_for_ordering,
     pal_for_orderings,
-    remaining_budget,
+    realized_audit,
 )
 from .entities import Adversary, Event, Victim
 from .pal_table import (
@@ -64,7 +63,6 @@ __all__ = [
     "REFRAIN",
     "Victim",
     "all_orderings",
-    "audited_counts",
     "best_response_arrays",
     "best_responses",
     "evaluate_policy",
@@ -73,7 +71,7 @@ __all__ = [
     "pal_for_ordering",
     "pal_for_orderings",
     "random_ordering",
-    "remaining_budget",
+    "realized_audit",
     "subset_table_pays",
     "utility_matrix_for_pal",
     "validate_thresholds",

@@ -49,8 +49,7 @@ __all__ = [
     "OrderingPricer",
     "pal_for_ordering",
     "pal_for_orderings",
-    "audited_counts",
-    "remaining_budget",
+    "realized_audit",
 ]
 
 _ZERO_RULES = ("unit", "strict")
@@ -84,47 +83,56 @@ def _check_inputs(
     return b, c
 
 
-def remaining_budget(
-    ordering: Ordering | Sequence[int],
+def realized_audit(
+    orderings: Sequence[Ordering | Sequence[int]],
+    probabilities: Sequence[float] | np.ndarray,
     thresholds: np.ndarray,
     counts: np.ndarray,
     costs: np.ndarray,
     budget: float,
-) -> np.ndarray:
-    """``B_t(o, b, Z)`` for every type, per scenario.
+    zero_count_rule: str = "unit",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 1's walk on realized counts, mixed over a policy's support.
 
-    ``counts`` has shape ``(S, T)``; the result has the same shape, with
-    zeros for types not present in (a partial) ``ordering``.
+    ``counts`` is a ``(B, T)`` stack of realized count vectors ``Z``;
+    each row is walked once per ordering ``o`` of the support, with
+    weight ``p_o``.  Returns ``(detection, audited, spent)``:
+
+    * ``detection`` ``(B, T)`` — ``sum_o p_o n_t / max(Z_t, 1)``, the
+      probability that an attack alert hiding in the row's type-``t``
+      stream is audited (for one ordering at ``p_o = 1``, bit for bit
+      :func:`pal_for_ordering` on that row alone);
+    * ``audited`` ``(B, T)`` — ``sum_o p_o min(n_t, Z_t)``, the expected
+      alerts audited (the ``"unit"`` rule's phantom alert is not a log
+      row);
+    * ``spent`` ``(B,)`` — ``audited @ costs``, the expected spend.
+
+    Types absent from an ordering get nothing from it.  The inputs are
+    not validated: callers pass an :class:`~repro.core.policy.AuditPolicy`'s
+    checked support and thresholds and a game's costs and budget, and
+    the serve layer calls this once per ``/score`` request.
     """
-    b, c = _check_inputs(thresholds, costs, budget)
     Z = np.asarray(counts, dtype=np.float64)
-    out = np.zeros_like(Z)
-    consumed = np.zeros(Z.shape[0])
-    for t in ordering:
-        out[:, t] = np.maximum(
-            np.floor((budget - consumed) / c[t]), 0.0
-        )
-        consumed = consumed + np.minimum(b[t], Z[:, t] * c[t])
-    return out
-
-
-def audited_counts(
-    ordering: Ordering | Sequence[int],
-    thresholds: np.ndarray,
-    counts: np.ndarray,
-    costs: np.ndarray,
-    budget: float,
-) -> np.ndarray:
-    """``n_t(o, b, Z)`` per scenario and type (0 for unplaced types)."""
-    b, c = _check_inputs(thresholds, costs, budget)
-    Z = np.asarray(counts, dtype=np.float64)
-    capacity = remaining_budget(ordering, b, Z, c, budget)
-    quota = np.floor(b / c)
-    audited = np.minimum(np.minimum(capacity, quota[None, :]), Z)
-    placed = np.zeros(len(b), dtype=bool)
-    placed[list(ordering)] = True
-    audited[:, ~placed] = 0.0
-    return audited
+    zsafe = np.maximum(Z, 1.0)
+    effective = zsafe if zero_count_rule == "unit" else Z
+    quota = np.floor(thresholds / costs)
+    detection = np.zeros_like(Z)
+    audited_mix = np.zeros_like(Z)
+    for ordering, p_o in zip(orderings, probabilities, strict=True):
+        consumed = np.zeros(Z.shape[0])
+        for t in ordering:
+            capacity = np.maximum(
+                np.floor((budget - consumed) / costs[t]), 0.0
+            )
+            audited = np.minimum(
+                np.minimum(capacity, quota[t]), effective[:, t]
+            )
+            detection[:, t] += p_o * (audited / zsafe[:, t])
+            audited_mix[:, t] += p_o * np.minimum(audited, Z[:, t])
+            consumed = consumed + np.minimum(
+                thresholds[t], Z[:, t] * costs[t]
+            )
+    return detection, audited_mix, audited_mix @ costs
 
 
 class OrderingPricer:
@@ -147,7 +155,9 @@ class OrderingPricer:
     This is the reference walk.  The solvers price from the subset
     tables built on top of it (:class:`~repro.core.pal_table.PalTable`
     and :class:`~repro.core.pal_table.LazyPalTable`); the walk stays for
-    tests, the simulator and small-support policy evaluation.
+    tests and small-support policy evaluation.  Realized counts (the
+    simulator's deployed ordering, ``/score``) go through
+    :func:`realized_audit`.
     """
 
     def __init__(

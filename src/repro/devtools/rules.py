@@ -271,9 +271,6 @@ BLOCKING_CALL_PATTERNS: tuple[str, ...] = (
     "*.solve",
     "*.price_batch",
     "*.resolve_blocking",
-    "*engine*.close",
-    "*engines*.close",
-    "*cache*.close",
     "*executor*.shutdown",
 )
 

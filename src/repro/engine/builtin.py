@@ -23,7 +23,7 @@ from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
 from ..solvers.bruteforce import run_solve_optimal
 from ..solvers.enumeration import DEFAULT_MAX_ORDERINGS
-from ..solvers.ishm import FixedSolver, ProbeScreen, run_iterative_shrink
+from ..solvers.ishm import ProbeScreen, run_iterative_shrink
 from .cache import FixedSolveCache
 from .config import (
     BruteForceConfig,
@@ -67,24 +67,13 @@ def _solve_ishm(
     config: ISHMConfig,
     *,
     cache: FixedSolveCache | None = None,
-    fixed_solver: FixedSolver | None = None,
 ) -> SolveResult:
     started = time.perf_counter()
-    if fixed_solver is None:
-        cache = cache or FixedSolveCache(game, scenarios)
-        # One holder reaches the pricer through its factory and the run
-        # through its arguments: ISHM keeps it on the incumbent, the
-        # pricer screens each round's probes against it.
-        screen = ProbeScreen()
-        batch_solver = cache.batch_solver(
-            method=config.inner,
-            backend=config.backend,
-            seed=config.seed,
-            screen=screen,
-        )
-        solver_args = {"batch_solver": batch_solver, "screen": screen}
-    else:
-        solver_args = {"solver": fixed_solver}
+    cache = cache or FixedSolveCache(game, scenarios)
+    # One holder reaches the pricer through its factory and the run
+    # through its arguments: ISHM keeps it on the incumbent, the pricer
+    # screens each round's probes against it.
+    screen = ProbeScreen()
     raw = run_iterative_shrink(
         game,
         scenarios,
@@ -94,7 +83,13 @@ def _solve_ishm(
         max_probes=config.max_probes,
         quantize=config.quantize,
         quantum=config.quantum,
-        **solver_args,
+        batch_solver=cache.batch_solver(
+            method=config.inner,
+            backend=config.backend,
+            seed=config.seed,
+            screen=screen,
+        ),
+        screen=screen,
     )
     return finalize_result(
         game,
@@ -175,16 +170,14 @@ def _solve_enumeration(
     started = time.perf_counter()
     cache = cache or FixedSolveCache(game, scenarios)
     thresholds = _full_coverage(game, config.thresholds)
-    # Pass options only when they differ from their defaults: kwargs
+    # Pass max_orderings only when it differs from its default: kwargs
     # enter the cache's memo scope, and a defaulted value must share
     # solutions with the kwarg-less enumeration solvers used by
     # ishm/bruteforce.
     extra: dict[str, object] = {}
     if config.max_orderings != DEFAULT_MAX_ORDERINGS:
         extra["max_orderings"] = config.max_orderings
-    if not config.compress:
-        extra["compress"] = config.compress
-    solution = cache.solver(
+    [solution] = cache.batch_solver(
         method="enumeration",
         backend=config.backend,
         seed=config.seed,
@@ -219,7 +212,7 @@ def _solve_cggs(
     started = time.perf_counter()
     cache = cache or FixedSolveCache(game, scenarios)
     thresholds = _full_coverage(game, config.thresholds)
-    solution = cache.solver(
+    [solution] = cache.batch_solver(
         method="cggs",
         backend=config.backend,
         seed=config.seed,
@@ -293,26 +286,19 @@ def _solve_random_threshold(
     config: RandomThresholdConfig,
     *,
     cache: FixedSolveCache | None = None,
-    fixed_solver: FixedSolver | None = None,
 ) -> SolveResult:
     started = time.perf_counter()
-    if fixed_solver is None:
-        cache = cache or FixedSolveCache(game, scenarios)
-        solver_args = {
-            "batch_solver": cache.batch_solver(
-                method=config.inner,
-                backend=config.backend,
-                seed=config.seed,
-            )
-        }
-    else:
-        solver_args = {"solver": fixed_solver}
+    cache = cache or FixedSolveCache(game, scenarios)
     baseline = RandomThresholdBaseline(
         game,
         scenarios,
         n_draws=config.n_draws,
         rng=np.random.default_rng(config.seed),
-        **solver_args,
+        batch_solver=cache.batch_solver(
+            method=config.inner,
+            backend=config.backend,
+            seed=config.seed,
+        ),
     )
     outcome = baseline.run()
     # The headline objective is the paper's aggregate (mean over draws);

@@ -17,34 +17,28 @@ set, which is what makes warm sweeps cheap (see
 to the deterministic enumeration method so cached answers are always
 identical to what a cold engine would compute.
 
-Beyond the single-vector :meth:`FixedSolveCache.solver` closure, the
-cache exposes batched pricing: :meth:`FixedSolveCache.batch_solver` /
-:meth:`FixedSolveCache.price_batch` dedupe a ``(B, T)`` stack of
-candidate vectors against the memo and price the remaining misses
-serially, in input order.
+Pricing goes through one memoized pricer factory,
+:meth:`FixedSolveCache.batch_solver`: a pricer dedupes a ``(B, T)``
+stack of candidate vectors against the memo and prices the remaining
+misses serially, in input order.  A single vector is a batch of one.
 
 Because the enumeration solver is memoized per ``(backend, options)``,
-every vector priced through one cache shares that solver's LP skeleton,
-representative-row set and ``Pal`` entry store — the structurally
-identical master LPs of a sweep are assembled from one set of static
-blocks instead of being rebuilt per vector (see
-:class:`repro.solvers.master.MasterSkeleton`).
+every vector priced through one cache shares that solver's
+representative-row set and ``Pal`` entry store.
 
-A memo entry is either a solution or a bound.  A batch pricer built
-with a :class:`~repro.solvers.ishm.ProbeScreen` screens each miss
-against the holder's incumbent (read once per batch) and may store a
+A memo entry is either a solution or a bound.  A pricer built with a
+:class:`~repro.solvers.ishm.ProbeScreen` screens each miss against the
+holder's incumbent (read once per batch) and may store a
 :class:`~repro.solvers.enumeration.Screened` lower bound instead of a
 solution.  A stored bound answers a later lookup only for a screening
-caller whose current cutoff it still reaches; any other caller —
-including every single-vector :meth:`FixedSolveCache.solver` closure —
-prices the vector afresh and the new result replaces the bound.
+caller whose current cutoff it still reaches; any other caller prices
+the vector afresh and the new result replaces the bound.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +46,11 @@ from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
 from ..solvers.enumeration import Incumbent, Screened
 from ..solvers.ishm import (
-    ENUMERATION_TYPE_LIMIT,
     BatchFixedSolver,
     FixedSolver,
     ProbeScreen,
     make_fixed_solver,
+    resolve_method,
 )
 from ..solvers.master import FixedThresholdSolution
 
@@ -88,14 +82,14 @@ class CacheInfo:
 
 
 class FixedSolveCache:
-    """Memoized fixed-threshold solving for one ``(game, scenarios)``.
+    """Memoized fixed-threshold pricing for one ``(game, scenarios)``.
 
     Only the deterministic inner method (enumeration) shares solutions
-    *across* :meth:`solver` calls — and across seeds, since its answers
-    do not depend on them.  CGGS is stateful (its warm-start column pool
-    and rng advance as it solves), so each :meth:`solver` call gets a
+    *across* :meth:`batch_solver` pricers — and across seeds, since its
+    answers do not depend on them.  CGGS is stateful (its warm-start
+    column pool and rng advance as it solves), so each pricer gets a
     fresh :class:`~repro.solvers.cggs.CGGSSolver` and a private memo
-    scope: within one call (e.g. one ISHM run) repeated vectors are
+    scope: within one pricer (e.g. one ISHM run) repeated vectors are
     still deduplicated, but results never depend on what the engine
     solved earlier, preserving the equal-seed ⇒ equal-result guarantee.
 
@@ -103,10 +97,9 @@ class FixedSolveCache:
     solver construction all run under one reentrant lock, so a service
     can share one engine (and therefore one cache) across
     request-handler and background-worker threads.  The underlying
-    enumeration solver keeps mutable per-solve state (LP skeletons,
-    ``Pal`` entries), so pricing through a shared solver is
-    *serialized* by the same lock — concurrency across threads is for
-    safety, not speedup.
+    solvers keep mutable per-solve state (``Pal`` entries, CGGS column
+    pools), so pricing is *serialized* by the same lock — concurrency
+    across threads is for safety, not speedup.
     """
 
     def __init__(self, game: AuditGame, scenarios: ScenarioSet) -> None:
@@ -121,23 +114,14 @@ class FixedSolveCache:
         self.hits = 0
         self.misses = 0
 
-    def _resolve(self, method: str) -> str:
-        if method == "auto":
-            return (
-                "enumeration"
-                if self.game.n_types <= ENUMERATION_TYPE_LIMIT
-                else "cggs"
-            )
-        return method
-
     def _shared_solver(
         self, backend: str, options: tuple[tuple[str, object], ...]
     ) -> FixedSolver:
         """The one enumeration solver per ``(backend, options)``.
 
-        Callers hold the lock.  :meth:`solver` and :meth:`batch_solver`
-        both price through it, so they share its LP skeleton and
-        ``Pal`` entry store as well as the memo.
+        Callers hold the lock.  Every enumeration pricer of this cache
+        prices through it, so they share its ``Pal`` entry store as well
+        as the memo.
         """
         key = ("enumeration", backend, options)
         solver = self._solvers.get(key)
@@ -152,66 +136,6 @@ class FixedSolveCache:
             self._solvers[key] = solver
         return solver
 
-    def solver(
-        self,
-        method: str = "auto",
-        backend: str = "scipy",
-        seed: int = 0,
-        **kwargs: object,
-    ) -> FixedSolver:
-        """A memoizing fixed-threshold solver closure.
-
-        ``kwargs`` pass through to
-        :func:`~repro.solvers.ishm.make_fixed_solver` (and into the memo
-        key, so differently-tuned solvers never share entries).
-        """
-        method = self._resolve(method)
-        options = tuple(sorted(kwargs.items()))
-        if method == "enumeration":
-            # Deterministic: share the solver and its solutions across
-            # calls, and drop the seed so runs with different seeds
-            # still share solutions.
-            solution_scope = (method, backend, options)
-            with self._lock:
-                base = self._shared_solver(backend, options)
-            solutions = self._solutions
-        else:
-            # Stateful (CGGS): fresh solver + a memo local to this call,
-            # so earlier engine solves cannot leak into this one and the
-            # engine-lifetime dict does not grow with unreusable entries.
-            solution_scope = (method, backend, seed, options)
-            base = make_fixed_solver(
-                self.game,
-                self.scenarios,
-                method=method,
-                backend=backend,
-                rng=np.random.default_rng(seed),
-                **kwargs,
-            )
-            solutions = {}
-
-        def cached(thresholds: np.ndarray) -> FixedThresholdSolution:
-            b = np.asarray(thresholds, dtype=np.float64)
-            key = solution_scope + (tuple(np.round(b, 9).tolist()),)
-            # The solve stays inside the lock: the shared enumeration
-            # solver mutates internal state (skeletons, tables) while
-            # pricing, so concurrent walks through it are not safe.
-            with self._lock:
-                hit = solutions.get(key)
-                if _serves(hit, None):
-                    self.hits += 1
-                    return hit
-                self.misses += 1
-                solution = base(b)
-                solutions[key] = solution
-                return solution
-
-        return cached
-
-    # ------------------------------------------------------------------
-    # Batched pricing
-    # ------------------------------------------------------------------
-
     def batch_solver(
         self,
         method: str = "auto",
@@ -220,40 +144,54 @@ class FixedSolveCache:
         screen: ProbeScreen | None = None,
         **kwargs: object,
     ) -> BatchFixedSolver:
-        """A memoizing *batched* fixed-threshold pricer.
+        """A memoizing batched fixed-threshold pricer.
 
         The returned callable takes a ``(B, T)`` stack (or a single
         vector) and returns one
         :class:`~repro.solvers.master.FixedThresholdSolution` per row,
-        in input order.  Vectors already priced — earlier in the batch,
-        by a previous batch, or by the single-vector :meth:`solver`
-        closures — are served from the memo.
+        in input order.  Vectors already priced — earlier in the batch
+        or by a previous call — are served from the memo and count as
+        hits.  ``kwargs`` pass through to
+        :func:`~repro.solvers.ishm.make_fixed_solver` and into the memo
+        key, so differently-tuned solvers never share entries.
 
         With a ``screen`` holder and the enumeration method, each batch
         screens its misses against the holder's current incumbent, and
         rows may come back :class:`~repro.solvers.enumeration.Screened`
-        (see the module docstring for what the memo keeps).  Other
-        methods ignore the holder.
+        (see the module docstring for what the memo keeps).  CGGS
+        ignores the holder.
 
-        Misses are priced serially, in input order, through the same
-        shared enumeration solver as :meth:`solver`; CGGS goes through
-        one :meth:`solver` closure per batch pricer.
+        Misses are priced serially, in input order: enumeration through
+        the cache's shared solver, CGGS through the pricer's own.  The
+        solver is built or looked up here, so a bad option raises from
+        the factory and no call counts a miss it cannot price.
         """
-        method = self._resolve(method)
-        if method != "enumeration":
-            serial = self.solver(
-                method=method, backend=backend, seed=seed, **kwargs
-            )
-
-            def price_serial(
-                vectors: np.ndarray,
-            ) -> list[FixedThresholdSolution]:
-                return [serial(b) for b in self._as_batch(vectors)]
-
-            return price_serial
-
+        method = resolve_method(self.game, method)
         options = tuple(sorted(kwargs.items()))
-        scope = (method, backend, options)
+        if method == "enumeration":
+            # Deterministic: share the solver and its solutions across
+            # pricers, and drop the seed so runs with different seeds
+            # still share solutions.
+            scope: tuple = (method, backend, options)
+            solutions = self._solutions
+            with self._lock:
+                base = self._shared_solver(backend, options)
+        else:
+            # Stateful (CGGS): fresh solver + a memo local to this
+            # pricer, so earlier engine solves cannot leak into this one
+            # and the engine-lifetime dict does not grow with
+            # unreusable entries.  It never screens.
+            scope = (method, backend, seed, options)
+            solutions = {}
+            screen = None
+            base = make_fixed_solver(
+                self.game,
+                self.scenarios,
+                method=method,
+                backend=backend,
+                rng=np.random.default_rng(seed),
+                **kwargs,
+            )
 
         def price(
             vectors: np.ndarray,
@@ -265,45 +203,30 @@ class FixedSolveCache:
             # One incumbent for the whole batch.
             incumbent = None if screen is None else screen.incumbent
             # One lock span for dedupe + solve + insert: a concurrent
-            # batch must not observe a half-filled memo.
+            # batch must not observe a half-filled memo, and the solvers
+            # mutate internal state while pricing.
             with self._lock:
                 fresh: dict[tuple, np.ndarray] = {}
                 for key, b in zip(keys, arr, strict=True):
                     if key in fresh or _serves(
-                        self._solutions.get(key), incumbent
+                        solutions.get(key), incumbent
                     ):
                         self.hits += 1
                     else:
                         self.misses += 1
                         fresh[key] = b
                 if fresh:
-                    base = self._shared_solver(backend, options)
                     # Stacking copies the misses, so no memoized
                     # solution aliases the caller's array.
                     stack = np.stack(list(fresh.values()))
                     for key, b in zip(fresh, stack, strict=True):
-                        self._solutions[key] = base(b, incumbent)
-                return [self._solutions[key] for key in keys]
+                        solutions[key] = (
+                            base(b) if incumbent is None
+                            else base(b, incumbent)
+                        )
+                return [solutions[key] for key in keys]
 
         return price
-
-    def price_batch(
-        self,
-        vectors: np.ndarray | Sequence[Sequence[float]],
-        *,
-        method: str = "auto",
-        backend: str = "scipy",
-        seed: int = 0,
-        **kwargs: object,
-    ) -> list[FixedThresholdSolution]:
-        """One-shot convenience wrapper around :meth:`batch_solver`
-        (which never screens without a holder)."""
-        return self.batch_solver(
-            method=method,
-            backend=backend,
-            seed=seed,
-            **kwargs,
-        )(vectors)
 
     def _as_batch(self, vectors) -> np.ndarray:
         arr = np.asarray(vectors, dtype=np.float64)

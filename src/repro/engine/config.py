@@ -244,14 +244,9 @@ class _FixedThresholdConfig(SolverConfig):
 
 @dataclass(frozen=True)
 class EnumerationConfig(_FixedThresholdConfig):
-    """Exact master LP over all ``|T|!`` ordering columns.
-
-    ``compress`` (default on) merges duplicate scenario rows before
-    pricing.
-    """
+    """Exact master LP over all ``|T|!`` ordering columns."""
 
     max_orderings: int = 5040
-    compress: bool = True
 
 
 @dataclass(frozen=True)

@@ -257,13 +257,12 @@ class AuditEngine:
             scenarios = self.scenario_set()
         started = time.perf_counter()
         with obs.span("engine.price_batch", method=method):
-            solutions = self.solution_cache(scenarios).price_batch(
-                vectors,
+            solutions = self.solution_cache(scenarios).batch_solver(
                 method=method,
                 backend=self.backend if backend is None else backend,
                 seed=self.seed if seed is None else seed,
                 **kwargs,
-            )
+            )(vectors)
         obs.counter(
             "repro_engine_vectors_priced_total",
             len(solutions),

@@ -10,9 +10,11 @@ count vector instead of in expectation over scenarios: for each ordering
 ``o`` in the mixed policy's support the budget walk of eq. 1 runs on the
 single realization ``Z`` (vectorized over a batch of realizations), and
 the per-ordering detection rows mix with the policy weights ``p_o``.
-Because the support of a solved policy is tiny (one to a handful of
-orderings) this is a few fused numpy passes per request — the solver hot
-path (scenario sets, master LPs, pricing caches) is never touched.
+That walk is :func:`repro.core.detection.realized_audit`, which the
+simulator also runs on each period's deployed ordering.  Because the
+support of a solved policy is tiny (one to a handful of orderings) this
+is a few fused numpy passes per request — the solver hot path (scenario
+sets, master LPs, pricing caches) is never touched.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.detection import realized_audit
 from ..core.game import AuditGame
 from ..core.policy import AuditPolicy
 
@@ -64,8 +67,8 @@ class PolicyScorer:
     """Scores realized alert-count vectors against one mixed policy.
 
     Validates and hoists the per-policy constants once (orderings,
-    weights, thresholds, quotas), so each :meth:`score` call is pure
-    vectorized kernel work.  Built by the service at publish time and
+    weights, thresholds), so each :meth:`score` call is pure vectorized
+    kernel work.  Built by the service at publish time and
     swapped together with the policy version, the scorer is immutable
     after construction and therefore safe to share across concurrent
     requests.
@@ -90,8 +93,6 @@ class PolicyScorer:
         )
         self._costs = np.asarray(game.costs, dtype=np.float64)
         self._budget = float(game.budget)
-        self._quota = np.floor(self._thresholds / self._costs)
-        self._unit_rule = game.zero_count_rule == "unit"
 
     @property
     def support_size(self) -> int:
@@ -115,27 +116,13 @@ class PolicyScorer:
 
     def score(self, alerts: object) -> ScoreBatch:
         """Score a batch of realized count vectors (rows independent)."""
-        Z = self.as_batch(alerts)
-        zsafe = np.maximum(Z, 1.0)
-        detection = np.zeros_like(Z)
-        audited_mix = np.zeros_like(Z)
-        b, c = self._thresholds, self._costs
-        for ordering, p_o in zip(self._orderings, self._probabilities, strict=True):
-            consumed = np.zeros(Z.shape[0])
-            for t in ordering:
-                capacity = np.maximum(
-                    np.floor((self._budget - consumed) / c[t]), 0.0
-                )
-                effective = zsafe[:, t] if self._unit_rule else Z[:, t]
-                audited = np.minimum(
-                    np.minimum(capacity, self._quota[t]), effective
-                )
-                detection[:, t] += p_o * (audited / zsafe[:, t])
-                # Expected *alerts* audited cannot exceed the realized
-                # count (the unit-rule phantom alert is not a log row).
-                audited_mix[:, t] += p_o * np.minimum(audited, Z[:, t])
-                consumed = consumed + np.minimum(b[t], Z[:, t] * c[t])
-        spent = audited_mix @ c
-        return ScoreBatch(
-            detection=detection, audited=audited_mix, spent=spent
+        detection, audited, spent = realized_audit(
+            self._orderings,
+            self._probabilities,
+            self._thresholds,
+            self.as_batch(alerts),
+            self._costs,
+            self._budget,
+            self.game.zero_count_rule,
         )
+        return ScoreBatch(detection=detection, audited=audited, spent=spent)

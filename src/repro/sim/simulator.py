@@ -40,14 +40,10 @@ from typing import Mapping
 import numpy as np
 
 from .. import faults, obs
-from ..core.detection import audited_counts, pal_for_ordering
+from ..core.detection import realized_audit
 from ..core.game import AuditGame
 from ..core.objective import REFRAIN, PolicyEvaluation
-from ..distributions.joint import (
-    JointCountModel,
-    ScenarioSet,
-    model_fingerprint,
-)
+from ..distributions.joint import JointCountModel, model_fingerprint
 from ..engine import AuditEngine
 from ..engine import registry as engine_registry
 from ..engine.config import coerce_value, config_from_pairs
@@ -397,28 +393,19 @@ class AuditSimulator:
             ordering = result.policy.sample_ordering(rng)
             thresholds = result.policy.thresholds
 
-            # 5. Realized audit on the true counts.
-            realized_set = ScenarioSet(
-                counts=realized[None, :],
-                weights=np.array([1.0]),
-            )
-            pal = pal_for_ordering(
-                ordering,
-                thresholds,
-                realized_set,
-                self.game.costs,
-                budget,
-                self.game.zero_count_rule,
-            )
-            pat = self.game.attack_map.detection_probability(pal)
-            audited = audited_counts(
-                ordering,
+            # 5. Realized audit on the true counts: one eq.-1 walk of
+            # the deployed ordering, as /score runs it.
+            detection, _, spent_row = realized_audit(
+                [ordering],
+                [1.0],
                 thresholds,
                 realized[None, :],
                 self.game.costs,
                 budget,
-            )[0]
-            spent = float(audited @ self.game.costs)
+                self.game.zero_count_rule,
+            )
+            pat = self.game.attack_map.detection_probability(detection[0])
+            spent = float(spent_row[0])
 
             # 6. The adversary moves against the deployed policy.
             victims = np.asarray(

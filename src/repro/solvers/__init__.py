@@ -18,12 +18,7 @@ from .bruteforce import (
 from .cggs import CGGSResult, CGGSSolver
 from .enumeration import EnumerationSolver
 from .ishm import ISHMResult, make_fixed_solver, run_iterative_shrink
-from .master import (
-    FixedThresholdSolution,
-    MasterProblem,
-    MasterSkeleton,
-    PolicyContext,
-)
+from .master import FixedThresholdSolution, MasterProblem, PolicyContext
 
 __all__ = [
     "BruteForceResult",
@@ -33,7 +28,6 @@ __all__ = [
     "FixedThresholdSolution",
     "ISHMResult",
     "MasterProblem",
-    "MasterSkeleton",
     "PolicyContext",
     "ResponseReport",
     "deterrence_budget",

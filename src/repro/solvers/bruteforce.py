@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from ..core.game import AuditGame
 from ..core.policy import AuditPolicy
 from ..distributions.joint import ScenarioSet
 from .enumeration import EnumerationSolver
+from .ishm import BatchFixedSolver, per_row
 from .master import FixedThresholdSolution
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 
 DEFAULT_MAX_VECTORS = 500_000
 
-#: Grid vectors priced per batch when a batched solver is used.
+#: Grid vectors priced per batch.
 GRID_CHUNK = 64
 
 
@@ -88,10 +88,7 @@ def run_solve_optimal(
     max_vectors: int = DEFAULT_MAX_VECTORS,
     enforce_budget_floor: bool = True,
     tie_break: str = "smallest",
-    solver: Callable[[np.ndarray], FixedThresholdSolution] | None = None,
-    batch_solver: Callable[
-        [np.ndarray], "list[FixedThresholdSolution]"
-    ] | None = None,
+    batch_solver: BatchFixedSolver | None = None,
 ) -> BruteForceResult:
     """Exhaustively search integer thresholds; LP-optimal orderings per b.
 
@@ -108,17 +105,15 @@ def run_solve_optimal(
         ``"smallest"`` prefers the lexicographically/elementwise smallest
         optimal vector (the paper reports "the smallest optimal threshold"
         when ties occur); ``"first"`` keeps the first one found.
-    solver:
-        Optional fixed-threshold master solver; defaults to a fresh
-        :class:`EnumerationSolver`.  The engine passes its shared
-        memoizing solver here so grid points priced by earlier solves
-        (e.g. ISHM probes) are reused.
     batch_solver:
         Batched pricer taking a ``(B, T)`` stack and returning solutions
-        in input order (``FixedSolveCache.batch_solver``).  The feasible
-        grid is priced in :data:`GRID_CHUNK`-vector slices either way;
-        the incumbent/tie-break scan runs in grid order, so the result
-        does not depend on the slicing.
+        in input order; defaults to a fresh :class:`EnumerationSolver`
+        mapped over the rows.  The engine passes its memoizing
+        ``FixedSolveCache.batch_solver`` here so grid points priced by
+        earlier solves (e.g. ISHM probes) are reused.  The feasible grid
+        is priced in :data:`GRID_CHUNK`-vector slices; the
+        incumbent/tie-break scan runs in grid order, so the result does
+        not depend on the slicing.
     """
     if tie_break not in ("smallest", "first"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -130,18 +125,9 @@ def run_solve_optimal(
             "use the 'ishm' solver instead"
         )
     if batch_solver is None:
-        if solver is None:
-            # solve_batch is bit-for-bit equal to mapping solve() but
-            # builds the detection kernels one vectorized pass per
-            # ordering instead of per grid vector.
-            batch_solver = EnumerationSolver(
-                game, scenarios, backend=backend
-            ).solve_batch
-        else:
-            base = solver
-
-            def batch_solver(vectors: np.ndarray):
-                return [base(b) for b in vectors]
+        batch_solver = per_row(
+            EnumerationSolver(game, scenarios, backend=backend).solve
+        )
 
     best_objective = math.inf
     best_thresholds: np.ndarray | None = None

@@ -87,7 +87,6 @@ class CGGSSolver:
         rng: np.random.Generator | None = None,
         max_columns: int = 200,
         reduced_cost_tol: float = 1e-7,
-        seed_orderings: tuple[Ordering, ...] = (),
         warm_start_pool: int = 48,
     ) -> None:
         self.game = game
@@ -96,7 +95,6 @@ class CGGSSolver:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.max_columns = max_columns
         self.reduced_cost_tol = reduced_cost_tol
-        self.seed_orderings = tuple(seed_orderings)
         # Column pool shared across solve() calls: orderings that priced
         # well for one threshold vector are excellent warm starts for the
         # neighbouring vectors ISHM probes next.
@@ -121,8 +119,6 @@ class CGGSSolver:
             pal_store=self._pal_store,
         )
         master = MasterProblem(context, backend=self.backend)
-        for ordering in self.seed_orderings:
-            master.add_ordering(ordering)
         for ordering in self._pool.values():
             master.add_ordering(ordering)
         if master.n_columns == 0:

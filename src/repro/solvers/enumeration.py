@@ -11,22 +11,15 @@ vector's detection rows come from one subset-memoized
 per vector instead of ``T! * T``), and the scenario set is
 :meth:`~repro.distributions.joint.ScenarioSet.compressed` once at
 construction (Monte-Carlo draws over small integer supports repeat
-heavily; identical rows are merged with aggregated weights — pass
-``compress=False`` to keep the raw set).  The tables of one solver share
-a :class:`~repro.core.pal_table.PalEntryStore` that lives as long as the
+heavily; identical rows are merged with aggregated weights, and a set
+without duplicates, such as every exact one, passes through unchanged).
+The tables of one solver share a
+:class:`~repro.core.pal_table.PalEntryStore` that lives as long as the
 solver, so a vector's table sweeps only the ``(type, predecessor set)``
 entries no earlier vector's table computed — on the Table IV sweep,
 16,652 of 40,704.  The engine memoizes one solver per configuration
 and prices through it under the fixed solve cache's lock, so the store
 needs no lock of its own.
-
-Every solve also shares one *LP skeleton* per solver instance: the master
-problems of different threshold vectors are structurally identical (same
-game, same deduplicated row set, same ``|T|!`` columns), so the static
-constraint blocks, objective and bounds are built once and only the
-utility columns are filled per vector — the engine's single-vector and
-batch-pricing paths (which share one memoized solver) inherit this for
-free.
 
 **Probe screening.**  Given an :class:`Incumbent` — another master's
 attack-row duals and a cutoff — :meth:`EnumerationSolver.solve` first
@@ -75,7 +68,6 @@ from ..distributions.joint import ScenarioSet
 from .master import (
     FixedThresholdSolution,
     MasterProblem,
-    MasterSkeleton,
     PolicyContext,
     utilities_linear_in_pal,
 )
@@ -176,15 +168,7 @@ class DualBound:
 
 
 class EnumerationSolver:
-    """Solve the fixed-``b`` master over the complete ordering set ``O``.
-
-    Parameters
-    ----------
-    compress:
-        Deduplicate identical scenario rows (weight-aggregating) once at
-        construction.  Exactly-enumerated sets are duplicate-free and
-        pass through untouched.
-    """
+    """Solve the fixed-``b`` master over the complete ordering set ``O``."""
 
     def __init__(
         self,
@@ -192,7 +176,6 @@ class EnumerationSolver:
         scenarios: ScenarioSet,
         backend: str = "scipy",
         max_orderings: int = DEFAULT_MAX_ORDERINGS,
-        compress: bool = True,
     ) -> None:
         n_orderings = math.factorial(game.n_types)
         if n_orderings > max_orderings:
@@ -201,17 +184,13 @@ class EnumerationSolver:
                 f"(> max_orderings={max_orderings}); use CGGSSolver instead"
             )
         self.game = game
-        self.scenarios = scenarios.compressed() if compress else scenarios
+        self.scenarios = scenarios.compressed()
         self.backend = backend
         self._orderings = all_orderings(game.n_types)
         # Shared across every solve of this instance: the deduplicated
-        # LP rows depend only on the game, the skeleton additionally on
-        # the (fixed) column count |T|!, and the Pal entries on the game
-        # and each entry's own thresholds.
+        # LP rows depend only on the game, and the Pal entries on the
+        # game and each entry's own thresholds.
         self._rep_rows = PolicyContext.representative_rows_for(game)
-        self._skeleton = MasterSkeleton(
-            game, self._rep_rows[0], n_orderings
-        )
         self._pal_store = PalEntryStore()
         # Stage 1 reads lazy-table entries, summed over every scenario
         # at once; it may screen only where those are the eager
@@ -257,9 +236,7 @@ class EnumerationSolver:
                 lower = bound.lower_bound(context.pal_table()) - bound.margin
                 if lower >= incumbent.cutoff:
                     return Screened(lower, "table")
-        master = MasterProblem(
-            context, backend=self.backend, skeleton=self._skeleton
-        )
+        master = MasterProblem(context, backend=self.backend)
         for ordering in self._orderings:
             master.add_ordering(ordering)
         fixed, _ = master.solve()
@@ -271,23 +248,6 @@ class EnumerationSolver:
             adversary_utilities=fixed.adversary_utilities,
             row_duals=fixed.row_duals,
         )
-
-    def solve_batch(
-        self,
-        thresholds_batch: np.ndarray,
-        incumbent: Incumbent | None = None,
-    ) -> list[FixedThresholdSolution | Screened]:
-        """Solve a ``(B, T)`` stack of threshold vectors, in input order.
-
-        Every solve shares this solver's LP skeleton and row dedupe, and
-        the results are exactly ``[solve(b, incumbent) for b in batch]``.
-        """
-        arr = np.asarray(thresholds_batch, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(
-                f"thresholds batch must be 2-D (B, T), got {arr.shape}"
-            )
-        return [self.solve(b, incumbent) for b in arr]
 
     def _cached_bound(self, duals: np.ndarray) -> DualBound | None:
         if self._bound_for is None or self._bound_for[0] is not duals:

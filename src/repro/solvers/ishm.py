@@ -63,6 +63,8 @@ __all__ = [
     "ISHMResult",
     "ProbeScreen",
     "make_fixed_solver",
+    "per_row",
+    "resolve_method",
     "run_iterative_shrink",
 ]
 
@@ -75,11 +77,20 @@ FixedSolver = Callable[[np.ndarray], FixedThresholdSolution]
 
 #: Prices a ``(B, T)`` stack of threshold vectors, results in input
 #: order.  ``FixedSolveCache.batch_solver`` builds these; a plain
-#: :data:`FixedSolver` is adapted by mapping it over the rows.  A
-#: screening pricer may answer :class:`Screened` for some rows.
+#: :data:`FixedSolver` is adapted by :func:`per_row`.  A screening
+#: pricer may answer :class:`Screened` for some rows.
 BatchFixedSolver = Callable[
     [np.ndarray], "list[FixedThresholdSolution | Screened]"
 ]
+
+
+def per_row(solver: FixedSolver) -> BatchFixedSolver:
+    """Adapt a single-vector solver: price each row in input order."""
+
+    def price(vectors: np.ndarray) -> list[FixedThresholdSolution]:
+        return [solver(b) for b in vectors]
+
+    return price
 
 
 class ProbeScreen:
@@ -107,6 +118,18 @@ class ProbeScreen:
         )
 
 
+def resolve_method(game: AuditGame, method: str) -> str:
+    """``method`` with ``"auto"`` resolved: enumeration for at most
+    :data:`ENUMERATION_TYPE_LIMIT` types, CGGS beyond."""
+    if method == "auto":
+        return (
+            "enumeration"
+            if game.n_types <= ENUMERATION_TYPE_LIMIT
+            else "cggs"
+        )
+    return method
+
+
 def make_fixed_solver(
     game: AuditGame,
     scenarios: ScenarioSet,
@@ -117,8 +140,8 @@ def make_fixed_solver(
 ) -> FixedSolver:
     """Factory for the inner fixed-threshold solver used by ISHM.
 
-    ``method`` is ``"enumeration"``, ``"cggs"``, or ``"auto"`` (enumeration
-    for at most :data:`ENUMERATION_TYPE_LIMIT` types, CGGS beyond).
+    ``method`` is ``"enumeration"``, ``"cggs"``, or ``"auto"`` (see
+    :func:`resolve_method`).
 
     The backend name is validated here, *before* any solver is built —
     an ISHM run prices hundreds of vectors, so a typo'd backend should
@@ -130,12 +153,7 @@ def make_fixed_solver(
             f"unknown LP backend {backend!r}; "
             f"choose from {available_backends()}"
         )
-    if method == "auto":
-        method = (
-            "enumeration"
-            if game.n_types <= ENUMERATION_TYPE_LIMIT
-            else "cggs"
-        )
+    method = resolve_method(game, method)
     if method == "enumeration":
         solver = EnumerationSolver(game, scenarios, backend=backend,
                                    **kwargs)
@@ -201,7 +219,6 @@ def run_iterative_shrink(
     game: AuditGame,
     scenarios: ScenarioSet,
     step_size: float,
-    solver: FixedSolver | None = None,
     initial_thresholds: Sequence[float] | None = None,
     improvement_tol: float = 1e-9,
     max_probes: int | None = None,
@@ -224,9 +241,6 @@ def run_iterative_shrink(
         across all probes).
     step_size:
         The paper's ``eps`` in (0, 1); smaller steps explore more ratios.
-    solver:
-        Fixed-threshold master solver; defaults to
-        ``make_fixed_solver(game, scenarios, "auto")``.
     initial_thresholds:
         Starting vector; defaults to the full-coverage upper bounds
         ``J_t * C_t``.
@@ -239,14 +253,12 @@ def run_iterative_shrink(
         Rounding mode for shrunk thresholds (see module docstring).
     batch_solver:
         Batched fixed-threshold pricer (takes a ``(B, T)`` stack, returns
-        solutions in input order).  When given, each probe round's
-        candidate subset is priced as *one* batch — the engine passes
-        :meth:`~repro.engine.cache.FixedSolveCache.batch_solver` here so
-        each round dedupes against its memo and screens its misses
-        against one incumbent read.  The search visits exactly
-        the same vectors in the same round structure as the serial path,
-        so results (and ``lp_calls``) are identical.  Mutually exclusive
-        with ``solver``.
+        solutions in input order); defaults to
+        ``per_row(make_fixed_solver(game, scenarios))``.  Each probe
+        round's new vectors are priced as *one* batch — the engine
+        passes :meth:`~repro.engine.cache.FixedSolveCache.batch_solver`
+        here so each round dedupes against its memo and screens its
+        misses against one incumbent read.
     screen:
         The holder the ``batch_solver`` was built with, if it screens
         probes (see the module docstring).  The run keeps it on the
@@ -267,17 +279,7 @@ def run_iterative_shrink(
     if quantum <= 0:
         raise ValueError(f"quantum must be positive, got {quantum}")
     if batch_solver is None:
-        base = solver if solver is not None else make_fixed_solver(
-            game, scenarios
-        )
-
-        def batch_solver(vectors: np.ndarray):
-            return [base(b) for b in vectors]
-
-    elif solver is not None:
-        raise ValueError(
-            "pass either solver or batch_solver, not both"
-        )
+        batch_solver = per_row(make_fixed_solver(game, scenarios))
 
     n_types = game.n_types
     if initial_thresholds is None:

@@ -24,10 +24,6 @@ The LP layer is *incremental* and *structure-exploiting*:
 * Every :meth:`MasterProblem.solve` is one cold
   :func:`~repro.solvers.lp.solve_lp` call on the assembled LP; no basis
   or other solver state carries from one solve to the next.
-* Structurally identical masters (batched pricing: same ``Q`` and game,
-  different utilities) share one :class:`MasterSkeleton` holding the
-  static blocks (``u`` coefficients, convexity row, objective, bounds),
-  so per-item LP assembly only writes the utility columns.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .lp import LinearProgram, LPSolution, solve_lp
 __all__ = [
     "PolicyContext",
     "MasterProblem",
-    "MasterSkeleton",
     "FixedThresholdSolution",
     "utilities_linear_in_pal",
 ]
@@ -386,36 +381,6 @@ class FixedThresholdSolution:
         )
 
 
-class MasterSkeleton:
-    """Static LP blocks shared by structurally identical masters.
-
-    Batched pricing (:meth:`~repro.solvers.enumeration.EnumerationSolver.
-    solve_batch`, :meth:`~repro.engine.cache.FixedSolveCache.price_batch`)
-    solves one master per threshold vector with the *same* game, row set
-    and column count — only the utility entries differ.  Everything that
-    does not depend on the utilities is built here exactly once: the
-    ``u``-variable coefficient block, the convexity row, the objective
-    vector and the bounds tuple.  The arrays are shared read-only across
-    every :class:`LinearProgram` assembled from them.
-    """
-
-    __slots__ = ("n_q", "n_e", "n_rows", "u_block", "a_eq", "c", "bounds")
-
-    def __init__(
-        self,
-        game: AuditGame,
-        e_rows: np.ndarray,
-        n_q: int,
-    ) -> None:
-        self.n_q = n_q
-        self.n_e = game.n_adversaries
-        self.n_rows = len(e_rows)
-        # The same two helpers MasterProblem._static_blocks builds from,
-        # so a skeleton's LP is exactly the master's own.
-        self.u_block = _master_u_block(e_rows, self.n_e)
-        self.a_eq, self.c, self.bounds = _master_variable_blocks(game, n_q)
-
-
 class MasterProblem:
     """Eq. 5 restricted to a growing set of ordering columns.
 
@@ -425,21 +390,15 @@ class MasterProblem:
         The shared kernel/utility cache for one ``(game, Z, b)``.
     backend:
         LP backend name (see :func:`~repro.solvers.lp.solve_lp`).
-    skeleton:
-        Optional :class:`MasterSkeleton` with prebuilt static blocks
-        (used when its column count matches at solve time).
     """
 
     def __init__(
         self,
         context: PolicyContext,
         backend: str = "scipy",
-        *,
-        skeleton: MasterSkeleton | None = None,
     ) -> None:
         self.context = context
         self.backend = backend
-        self.skeleton = skeleton
         self._orderings: list[Ordering] = []
         self._keys: set[tuple[int, ...]] = set()
         e_rows, _ = context.representative_rows
@@ -533,10 +492,7 @@ class MasterProblem:
     def _static_blocks(
         self, n_q: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """(u_block, a_eq, c, bounds) — from the skeleton when it fits."""
-        if self.skeleton is not None and self.skeleton.n_q == n_q:
-            s = self.skeleton
-            return s.u_block, s.a_eq, s.c, s.bounds
+        """(u_block, a_eq, c, bounds) for ``n_q`` columns."""
         if self._u_block is None:
             e_rows, _ = self.context.representative_rows
             self._u_block = _master_u_block(e_rows, self._n_e)

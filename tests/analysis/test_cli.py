@@ -97,6 +97,20 @@ class TestSolverMode:
                 ]
             )
 
+    def test_removed_compress_option_is_clean_error(self, tmp_path):
+        # Enumeration always merges duplicate scenario rows; the knob
+        # that turned it off is gone.
+        with pytest.raises(SystemExit, match="valid options"):
+            main(
+                [
+                    "--solver", "enumeration",
+                    "--dataset", "syn_a",
+                    "--budget", "2",
+                    "--config", "compress=false",
+                    "--out", str(tmp_path),
+                ]
+            )
+
     def test_unknown_solver_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--solver", "gradient", "--out", str(tmp_path)])

@@ -10,6 +10,9 @@ from repro.baselines import (
     RandomThresholdBaseline,
     type_benefits,
 )
+from repro.datasets import rea_a
+from repro.solvers import make_fixed_solver
+from repro.solvers.ishm import per_row
 from tests.conftest import solve_bruteforce, solve_ishm
 
 
@@ -74,6 +77,31 @@ class TestRandomThresholdBaseline:
             RandomThresholdBaseline(
                 tiny_game, tiny_scenarios, n_draws=0
             )
+
+    def test_draws_every_vector_before_pricing(self):
+        # Beyond five types the default pricer is CGGS, which shares the
+        # baseline's rng: it draws from it only after the last vector.
+        game = rea_a(budget=30)
+        scenarios = game.scenario_set(
+            rng=np.random.default_rng(0), n_samples=200
+        )
+        rng = np.random.default_rng(4)
+        inner = per_row(make_fixed_solver(game, scenarios, rng=rng))
+        batches = []
+
+        def record(vectors):
+            batches.append(len(vectors))
+            return inner(vectors)
+
+        given = RandomThresholdBaseline(
+            game, scenarios, n_draws=3, rng=rng, batch_solver=record
+        ).run()
+        assert batches == [3]
+        default = RandomThresholdBaseline(
+            game, scenarios, n_draws=3, rng=np.random.default_rng(4)
+        ).run()
+        assert default.mean_loss == given.mean_loss
+        assert default.std_loss == given.std_loss
 
 
 class TestGreedyBenefitBaseline:

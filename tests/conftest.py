@@ -24,19 +24,30 @@ from repro.distributions import (
 )
 from repro.engine import BruteForceConfig, ISHMConfig
 from repro.engine import solve as engine_solve
+from repro.solvers.ishm import per_row, run_iterative_shrink
 
 
 def solve_ishm(game, scenarios, step_size, solver=None, **options):
-    """Algorithm 2 through the engine registry; the native ``ISHMResult``.
+    """Algorithm 2 with an :class:`ISHMConfig`; the native ``ISHMResult``.
 
-    ``solver`` is the fixed-threshold solver handed to ISHM (None: the
-    registry's default); ``options`` are further :class:`ISHMConfig`
-    fields.
+    Without a ``solver`` the run goes through the engine registry.  A
+    given fixed-threshold ``solver`` prices every probe row by row
+    instead.  ``options`` are further :class:`ISHMConfig` fields.
     """
     config = ISHMConfig(step_size=step_size, **options)
-    return engine_solve(
-        game, scenarios, "ishm", config, fixed_solver=solver
-    ).raw
+    if solver is None:
+        return engine_solve(game, scenarios, "ishm", config).raw
+    return run_iterative_shrink(
+        game,
+        scenarios,
+        step_size=config.step_size,
+        initial_thresholds=config.initial_thresholds,
+        improvement_tol=config.improvement_tol,
+        max_probes=config.max_probes,
+        quantize=config.quantize,
+        quantum=config.quantum,
+        batch_solver=per_row(solver),
+    )
 
 
 def solve_bruteforce(game, scenarios, **options):

@@ -7,10 +7,9 @@ from repro.core import (
     AlertType,
     Ordering,
     OrderingPricer,
-    audited_counts,
     pal_for_ordering,
     pal_for_orderings,
-    remaining_budget,
+    realized_audit,
     validate_thresholds,
 )
 from repro.datasets import syn_a
@@ -25,48 +24,51 @@ def single_scenario(counts):
     )
 
 
+def walk(ordering, thresholds, counts, costs, budget, **kwargs):
+    """``realized_audit`` of one pure ordering on realized counts."""
+    return realized_audit(
+        [Ordering(ordering)],
+        [1.0],
+        np.asarray(thresholds, dtype=np.float64),
+        np.asarray(counts),
+        np.asarray(costs, dtype=np.float64),
+        budget,
+        **kwargs,
+    )
+
+
 class TestRemainingBudget:
+    """``B_t``, read off the audited counts where it is the binding cap."""
+
     def test_first_type_gets_everything(self):
-        # B_t for the leading type is floor(B / C_t).
-        out = remaining_budget(
-            Ordering((0, 1)),
-            thresholds=np.array([2.0, 4.0]),
-            counts=np.array([[3, 2]]),
-            costs=np.array([1.0, 2.0]),
-            budget=5.0,
-        )
-        assert out[0, 0] == 5.0
+        # B_t for the leading type is floor(B / C_t) = 5.
+        _, audited, _ = walk((0, 1), [9.0, 40.0], [[8, 2]], [1.0, 2.0], 5.0)
+        assert audited[0, 0] == 5.0
         # Type 0 consumes min(b0, Z0*C0) = min(2, 3) = 2 -> floor(3/2)=1.
-        assert out[0, 1] == 1.0
+        _, audited, _ = walk((0, 1), [2.0, 40.0], [[3, 2]], [1.0, 2.0], 5.0)
+        assert audited[0, 1] == 1.0
 
     def test_exhausted_budget_clamps_to_zero(self):
-        out = remaining_budget(
-            Ordering((0, 1)),
-            thresholds=np.array([10.0, 1.0]),
-            counts=np.array([[9, 5]]),
-            costs=np.array([1.0, 1.0]),
-            budget=4.0,
+        detection, audited, _ = walk(
+            (0, 1), [10.0, 1.0], [[9, 5]], [1.0, 1.0], 4.0
         )
         # Type 0 consumes min(10, 9) = 9 > B: nothing left for type 1.
-        assert out[0, 1] == 0.0
+        assert audited[0, 1] == 0.0
+        assert detection[0, 1] == 0.0
 
     def test_unplaced_types_get_zero(self):
-        out = remaining_budget(
-            Ordering((1,)),
-            thresholds=np.array([2.0, 2.0]),
-            counts=np.array([[3, 3]]),
-            costs=np.array([1.0, 1.0]),
-            budget=5.0,
+        detection, audited, _ = walk(
+            (1,), [2.0, 9.0], [[3, 7]], [1.0, 1.0], 5.0
         )
-        assert out[0, 0] == 0.0
-        assert out[0, 1] == 5.0
+        assert detection[0, 0] == 0.0
+        assert audited[0, 0] == 0.0
+        assert audited[0, 1] == 5.0
 
     def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            remaining_budget(
-                Ordering((0,)), np.array([1.0]),
-                np.array([[1]]), np.array([1.0]), -1.0,
-            )
+        # The walk trusts its budget: every caller takes it from a game,
+        # which refuses a negative one.
+        with pytest.raises(ValueError, match="budget"):
+            syn_a(budget=-1.0)
 
 
 class TestAuditedCounts:
@@ -74,36 +76,24 @@ class TestAuditedCounts:
         # T=2, C=[1,2], B=5, b=[2,4], Z=[3,2], order (0,1):
         # n_0 = min(5, floor(2/1), 3) = 2; consumed 2, remaining 3;
         # n_1 = min(floor(3/2), floor(4/2), 2) = 1.
-        out = audited_counts(
-            Ordering((0, 1)),
-            thresholds=np.array([2.0, 4.0]),
-            counts=np.array([[3, 2]]),
-            costs=np.array([1.0, 2.0]),
-            budget=5.0,
+        detection, audited, spent = walk(
+            (0, 1), [2.0, 4.0], [[3, 2]], [1.0, 2.0], 5.0
         )
-        assert out[0].tolist() == [2.0, 1.0]
+        assert audited[0].tolist() == [2.0, 1.0]
+        assert detection[0].tolist() == [2 / 3, 1 / 2]
+        assert spent.tolist() == [4.0]
 
     def test_reversed_order(self):
         # Order (1,0): n_1 = min(floor(5/2), 2, 2) = 2; consumes
         # min(4, 4) = 4; n_0 = min(floor(1/1), 2, 3) = 1.
-        out = audited_counts(
-            Ordering((1, 0)),
-            thresholds=np.array([2.0, 4.0]),
-            counts=np.array([[3, 2]]),
-            costs=np.array([1.0, 2.0]),
-            budget=5.0,
-        )
-        assert out[0].tolist() == [1.0, 2.0]
+        _, audited, _ = walk((1, 0), [2.0, 4.0], [[3, 2]], [1.0, 2.0], 5.0)
+        assert audited[0].tolist() == [1.0, 2.0]
 
     def test_never_exceeds_realized_counts(self):
-        out = audited_counts(
-            Ordering((0, 1)),
-            thresholds=np.array([100.0, 100.0]),
-            counts=np.array([[3, 2]]),
-            costs=np.array([1.0, 1.0]),
-            budget=100.0,
+        _, audited, _ = walk(
+            (0, 1), [100.0, 100.0], [[3, 2]], [1.0, 1.0], 100.0
         )
-        assert out[0].tolist() == [3.0, 2.0]
+        assert audited[0].tolist() == [3.0, 2.0]
 
 
 class TestPalForOrdering:

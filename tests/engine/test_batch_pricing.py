@@ -1,9 +1,9 @@
 """Batched threshold pricing: dedupe, the shared memo, and identity
-with single-vector pricing.
+with row-by-row pricing.
 
 For enumeration-backed pricing a batch returns bit-for-bit the same
 solutions, policies and probe counts as pricing its vectors one at a
-time, and its results enter the memo the single-vector closures read.
+time, and every pricer of one cache reads and fills the same memo.
 """
 
 import numpy as np
@@ -11,15 +11,7 @@ import pytest
 
 from repro.engine import AuditEngine, FixedSolveCache
 from repro.solvers.enumeration import EnumerationSolver
-from repro.solvers.ishm import run_iterative_shrink
-
-
-def _policies_equal(a, b) -> bool:
-    return (
-        tuple(map(tuple, a.orderings)) == tuple(map(tuple, b.orderings))
-        and np.array_equal(a.probabilities, b.probabilities)
-        and np.array_equal(a.thresholds, b.thresholds)
-    )
+from repro.solvers.ishm import per_row, run_iterative_shrink
 
 
 @pytest.fixture()
@@ -31,75 +23,66 @@ def batch(tiny_game):
     )
 
 
-class TestBatchedKernel:
-    def test_solve_batch_equals_mapped_solve(
-        self, tiny_game, tiny_scenarios, batch
-    ):
-        solver = EnumerationSolver(tiny_game, tiny_scenarios)
-        batched = solver.solve_batch(batch)
-        for b, solution in zip(batch, batched, strict=True):
-            reference = solver.solve(b)
-            assert solution.objective == reference.objective
-            assert _policies_equal(solution.policy, reference.policy)
-
-
 class TestPriceBatch:
     def test_dedupes_within_and_across_batches(
         self, tiny_game, tiny_scenarios, batch
     ):
         cache = FixedSolveCache(tiny_game, tiny_scenarios)
         doubled = np.concatenate([batch, batch])
-        solutions = cache.price_batch(doubled)
+        solutions = cache.batch_solver()(doubled)
         assert len(solutions) == len(doubled)
         unique = len({tuple(b) for b in batch.tolist()})
         assert cache.misses == unique
         assert cache.hits == len(doubled) - unique
-        # Repricing is all hits, and single-vector solves share the memo.
-        cache.price_batch(batch)
+        # Repricing is all hits, and a fresh pricer shares the memo.
+        cache.batch_solver()(batch)
         assert cache.misses == unique
-        single = cache.solver()(batch[0])
+        [single] = cache.batch_solver()(batch[0])
         assert single is solutions[0]
 
     def test_single_vector_input_accepted(
         self, tiny_game, tiny_scenarios
     ):
         cache = FixedSolveCache(tiny_game, tiny_scenarios)
-        solutions = cache.price_batch(np.array([2.0, 2.0]))
+        solutions = cache.batch_solver()(np.array([2.0, 2.0]))
         assert len(solutions) == 1
 
     def test_rejects_wrong_width(self, tiny_game, tiny_scenarios):
         cache = FixedSolveCache(tiny_game, tiny_scenarios)
         with pytest.raises(ValueError, match="batch must have shape"):
-            cache.price_batch(np.zeros((3, 5)))
+            cache.batch_solver()(np.zeros((3, 5)))
+
+    def test_bad_option_raises_from_the_factory(
+        self, tiny_game, tiny_scenarios
+    ):
+        cache = FixedSolveCache(tiny_game, tiny_scenarios)
+        with pytest.raises(ValueError, match="max_orderings"):
+            cache.batch_solver(max_orderings=1)
+        info = cache.info()
+        assert (info.solutions, info.hits, info.misses) == (0, 0, 0)
 
 
 class TestRunnerBatchPaths:
     def test_run_iterative_shrink_batch_equals_solver_path(
         self, tiny_game, tiny_scenarios
     ):
-        solver = EnumerationSolver(tiny_game, tiny_scenarios)
-        via_solver = run_iterative_shrink(
-            tiny_game, tiny_scenarios, 0.4, solver=solver.solve
+        # The memoizing batch pricer against one solver mapped row by row.
+        row_by_row = run_iterative_shrink(
+            tiny_game,
+            tiny_scenarios,
+            0.4,
+            batch_solver=per_row(
+                EnumerationSolver(tiny_game, tiny_scenarios).solve
+            ),
         )
-        via_batch = run_iterative_shrink(
-            tiny_game, tiny_scenarios, 0.4, batch_solver=solver.solve_batch
+        cache = FixedSolveCache(tiny_game, tiny_scenarios)
+        memoized = run_iterative_shrink(
+            tiny_game, tiny_scenarios, 0.4, batch_solver=cache.batch_solver()
         )
-        assert via_batch.objective == via_solver.objective
-        assert np.array_equal(via_batch.thresholds, via_solver.thresholds)
-        assert via_batch.lp_calls == via_solver.lp_calls
-
-    def test_run_iterative_shrink_rejects_both_solvers(
-        self, tiny_game, tiny_scenarios
-    ):
-        solver = EnumerationSolver(tiny_game, tiny_scenarios)
-        with pytest.raises(ValueError, match="not both"):
-            run_iterative_shrink(
-                tiny_game,
-                tiny_scenarios,
-                0.4,
-                solver=solver.solve,
-                batch_solver=solver.solve_batch,
-            )
+        assert memoized.objective == row_by_row.objective
+        assert np.array_equal(memoized.thresholds, row_by_row.thresholds)
+        assert memoized.lp_calls == row_by_row.lp_calls
+        assert cache.misses == row_by_row.lp_calls
 
 
 class TestEngineKnobs:

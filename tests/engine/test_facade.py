@@ -141,8 +141,8 @@ class TestFixedSolveCacheUnit:
     ):
         cache = FixedSolveCache(tiny_game, tiny_scenarios)
         b = tiny_game.threshold_upper_bounds().astype(float)
-        cache.solver(method="enumeration", seed=0)(b)
-        cache.solver(method="enumeration", seed=1)(b)
+        cache.batch_solver(method="enumeration", seed=0)(b)
+        cache.batch_solver(method="enumeration", seed=1)(b)
         info = cache.info()
         assert info.misses == 1
         assert info.hits == 1
@@ -150,13 +150,17 @@ class TestFixedSolveCacheUnit:
     def test_cggs_solutions_not_shared_across_calls(
         self, tiny_game, tiny_scenarios
     ):
-        # CGGS is stateful; sharing solutions across solver() calls
-        # would make warm engines diverge from cold ones.
+        # CGGS is stateful; sharing solutions across pricers would make
+        # warm engines diverge from cold ones.  Within one pricer a
+        # repeated vector is still a hit.
         cache = FixedSolveCache(tiny_game, tiny_scenarios)
         b = tiny_game.threshold_upper_bounds().astype(float)
-        cache.solver(method="cggs", seed=0)(b)
-        cache.solver(method="cggs", seed=0)(b)
+        cache.batch_solver(method="cggs", seed=0)(b)
+        price = cache.batch_solver(method="cggs", seed=0)
+        first, again = price(np.stack([b, b]))
+        assert again is first
         assert cache.info().misses == 2
+        assert cache.info().hits == 1
 
     def test_cggs_warm_engine_matches_cold(self, tiny_game):
         warm_engine = AuditEngine(tiny_game)

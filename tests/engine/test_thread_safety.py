@@ -64,15 +64,15 @@ def test_concurrent_single_vector_solver(tiny_game):
     with AuditEngine(tiny_game) as engine:
         scenarios = engine.scenario_set()
         cache = engine.solution_cache(scenarios)
-        solver = cache.solver(backend="scipy")
-        serial = {i: solver(b).objective for i, b in enumerate(vectors)}
+        price = cache.batch_solver(backend="scipy")
+        serial = {i: price(b)[0].objective for i, b in enumerate(vectors)}
         before = cache.info()
 
         results: dict[int, list[float]] = {}
         lock = threading.Lock()
 
         def worker(tid: int) -> None:
-            mine = [solver(b).objective for b in vectors]
+            mine = [price(b)[0].objective for b in vectors]
             with lock:
                 results[tid] = mine
 

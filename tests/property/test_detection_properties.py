@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Ordering, audited_counts, pal_for_ordering
+from repro.core import Ordering, pal_for_ordering, realized_audit
 from repro.distributions import ScenarioSet
 
 N_TYPES = 3
@@ -65,11 +65,31 @@ def test_pal_is_probability(inputs):
 @settings(max_examples=60, deadline=None)
 def test_audited_counts_bounded_by_realizations(inputs):
     ordering, thresholds, scenarios, costs, budget = inputs
-    audited = audited_counts(
-        ordering, thresholds, scenarios.counts, costs, budget
+    _, audited, spent = realized_audit(
+        [ordering], [1.0], thresholds, scenarios.counts, costs, budget
     )
     assert np.all(audited >= 0)
     assert np.all(audited <= scenarios.counts + 1e-12)
+    # Auditing never spends more than the budget.
+    assert np.all(spent <= budget + 1e-9)
+
+
+@given(kernel_inputs(), st.sampled_from(["unit", "strict"]))
+@settings(max_examples=60, deadline=None)
+def test_realized_walk_is_pal_of_each_row(inputs, rule):
+    """One pure ordering's realized detection is, bit for bit, the
+    reference walk's Pal on that row alone (the simulator's step 5)."""
+    ordering, thresholds, scenarios, costs, budget = inputs
+    detection, _, _ = realized_audit(
+        [ordering], [1.0], thresholds, scenarios.counts, costs, budget,
+        zero_count_rule=rule,
+    )
+    for row, got in zip(scenarios.counts, detection, strict=True):
+        alone = ScenarioSet(counts=row[None, :], weights=np.array([1.0]))
+        expected = pal_for_ordering(
+            ordering, thresholds, alone, costs, budget, rule
+        )
+        assert got.tobytes() == expected.tobytes()
 
 
 @given(kernel_inputs(), st.floats(0.5, 10.0))
@@ -105,8 +125,8 @@ def test_leading_type_capacity_only_budget_limited(inputs):
     """The first type in the order sees the full budget."""
     ordering, thresholds, scenarios, costs, budget = inputs
     lead = ordering.positions[0]
-    audited = audited_counts(
-        ordering, thresholds, scenarios.counts, costs, budget
+    _, audited, _ = realized_audit(
+        [ordering], [1.0], thresholds, scenarios.counts, costs, budget
     )
     quota = np.floor(thresholds[lead] / costs[lead])
     capacity = np.floor(budget / costs[lead])

@@ -5,8 +5,8 @@ where the theory says they do:
 
 * the brute-force optimum (engine memo + batch pricing) equals the
   minimum over the same integer grid of a *fresh*
-  :class:`EnumerationSolver` per vector, which shares no memo, entry
-  store or LP skeleton with anything;
+  :class:`EnumerationSolver` per vector, which shares no memo or entry
+  store with anything;
 * CGGS at fixed thresholds restricts the master's columns, so its loss
   is never below the enumeration master's;
 * ISHM, with either inner pricer, searches a subset of the grid the

@@ -30,7 +30,7 @@ from repro.datasets import syn_a
 from repro.distributions import DiscretizedGaussian, JointCountModel
 from repro.engine import AuditEngine
 from repro.solvers.enumeration import EnumerationSolver, Screened
-from repro.solvers.ishm import run_iterative_shrink
+from repro.solvers.ishm import per_row, run_iterative_shrink
 
 
 def _table(game: AuditGame, scenarios, thresholds) -> PalTable:
@@ -183,7 +183,7 @@ class TestDualBound:
             return solution
 
         run_iterative_shrink(
-            syn_a_game, syn_a_scenarios, 0.1, solver=recording
+            syn_a_game, syn_a_scenarios, 0.1, batch_solver=per_row(recording)
         )
         assert len(probes) == 110
         for b, solution in probes:
@@ -230,7 +230,7 @@ class TestScreenedISHM:
             game,
             scenarios,
             0.1,
-            solver=EnumerationSolver(game, scenarios).solve,
+            batch_solver=per_row(EnumerationSolver(game, scenarios).solve),
         )
         assert reference.screened == 0
         assert screened.raw.screened > 0

@@ -1,10 +1,9 @@
-"""Incremental master assembly, skeleton reuse, the CGGS table oracle.
+"""Incremental master assembly and the CGGS table oracle.
 
 Covers the structure-exploiting LP layer:
 
 * batched column pricing assembles the same LP as the legacy restack of
   per-ordering utility matrices (bitwise on one-hot attack maps);
-* the shared :class:`MasterSkeleton` changes nothing numerically;
 * the closed-form CGGS oracle matches the generic per-candidate oracle.
 """
 
@@ -19,13 +18,7 @@ from repro.core import (
     random_ordering,
 )
 from repro.datasets import rea_a, rea_b, syn_a
-from repro.solvers import (
-    CGGSSolver,
-    EnumerationSolver,
-    MasterProblem,
-    MasterSkeleton,
-    PolicyContext,
-)
+from repro.solvers import CGGSSolver, MasterProblem, PolicyContext
 from repro.solvers.master import utilities_linear_in_pal
 from tests.solvers.test_ishm_screen import _custom_payoff_game, _random_game
 
@@ -209,50 +202,6 @@ class TestBatchedColumns:
         assert batches == [5, 1]
         with pytest.raises(ValueError, match="complete"):
             master.add_ordering(Ordering((0, 1)))
-
-
-class TestSkeletonReuse:
-    def test_skeleton_changes_nothing(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        rows = PolicyContext.representative_rows_for(syn_a_game)
-        skeleton = MasterSkeleton(syn_a_game, rows[0], 24)
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[1]
-        )
-        with_skel = MasterProblem(context, skeleton=skeleton)
-        without = MasterProblem(context)
-        for o in all_orderings(4):
-            with_skel.add_ordering(o)
-            without.add_ordering(o)
-        a, sa = with_skel.solve()
-        b, sb = without.solve()
-        assert sa.objective_value == sb.objective_value
-        np.testing.assert_array_equal(sa.x, sb.x)
-
-    def test_mismatched_skeleton_is_ignored(
-        self, syn_a_game, syn_a_scenarios
-    ):
-        rows = PolicyContext.representative_rows_for(syn_a_game)
-        skeleton = MasterSkeleton(syn_a_game, rows[0], 99)  # wrong n_q
-        context = PolicyContext(
-            syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
-        )
-        master = MasterProblem(context, skeleton=skeleton)
-        master.add_ordering(Ordering((0, 1, 2, 3)))
-        fixed, _ = master.solve()  # falls back to locally built blocks
-        assert np.isfinite(fixed.objective)
-
-    def test_solve_batch_equals_serial(self, syn_a_game, syn_a_scenarios):
-        solver = EnumerationSolver(syn_a_game, syn_a_scenarios)
-        batch = np.stack(THRESHOLD_GRID)
-        batched = solver.solve_batch(batch)
-        for b, got in zip(THRESHOLD_GRID, batched, strict=True):
-            ref = solver.solve(b)
-            assert got.objective == ref.objective
-            np.testing.assert_array_equal(
-                got.policy.probabilities, ref.policy.probabilities
-            )
 
 
 class TestCGGSTableOracle:
