@@ -142,12 +142,15 @@ class OrderingPricer:
     the *same* thresholds and scenario set; re-running ``asarray`` and
     range validation per ordering is pure overhead.  The pricer validates
     once at construction, where it also computes the audit quotas
-    ``floor(b_t / C_t)``.  The scenario-sized arrays every sweep shares
-    (a float copy of the counts, the per-scenario budget contributions
-    ``min(b_t, Z_t C_t)`` and the zero-count-safe denominators) are
-    derived on first use, type-major ``(T, S)`` so that one type's
-    scenarios are contiguous: a table whose entries all come from a
-    :class:`~repro.core.pal_table.PalEntryStore` never touches them.
+    ``floor(b_t / C_t)``.  The scenario-sized arrays are type-major
+    ``(T, S)``, so that one type's scenarios are contiguous.  The float
+    counts and the zero-count-safe denominators do not depend on the
+    thresholds: they are the scenario set's own, shared read-only by
+    every pricer of the set.  The two that do, the per-scenario budget
+    contributions ``min(b_t, Z_t C_t)`` and the audit caps
+    (:attr:`cap`), are derived on first use: a table whose entries all
+    come from a :class:`~repro.core.pal_table.PalEntryStore` never
+    touches them.
     :meth:`pal` then runs the reference per-ordering walk with no
     revalidation; :func:`pal_for_ordering` is a thin one-shot wrapper,
     so both produce bit-identical rows.
@@ -186,11 +189,11 @@ class OrderingPricer:
         #: ``floor(b_t / C_t)`` — per-type audit quota.
         self.quota = np.floor(b / c)
 
-    @cached_property
+    @property
     def counts(self) -> np.ndarray:
-        """The scenario counts as floats, type-major ``(T, S)``: every
-        sweep reads one type's row, so rows are contiguous."""
-        return np.ascontiguousarray(self.scenarios.counts.T, dtype=np.float64)
+        """The scenario counts as floats, type-major ``(T, S)`` (the
+        scenario set's read-only :attr:`~ScenarioSet.type_counts`)."""
+        return self.scenarios.type_counts
 
     @cached_property
     def contrib(self) -> np.ndarray:
@@ -200,16 +203,28 @@ class OrderingPricer:
             self.thresholds[:, None], self.counts * self.costs[:, None]
         )
 
-    @cached_property
+    @property
     def zsafe(self) -> np.ndarray:
-        """Zero-count-safe denominator ``max(Z_t, 1)``."""
-        return np.maximum(self.counts, 1.0)
+        """Zero-count-safe denominator ``max(Z_t, 1)`` (the scenario
+        set's read-only :attr:`~ScenarioSet.zsafe`)."""
+        return self.scenarios.zsafe
 
-    @cached_property
+    @property
     def effective(self) -> np.ndarray:
         """The count that caps ``n_t``: ``zsafe`` under the ``"unit"``
         rule, the raw count under ``"strict"``."""
         return self.zsafe if self.zero_count_rule == "unit" else self.counts
+
+    @cached_property
+    def cap(self) -> np.ndarray:
+        """``min(quota_t, effective_t)`` — the most type-t alerts the
+        quota and the count admit, per scenario, ``(T, S)``.  The
+        kernels clamp capacity by it in one pass: ``minimum`` is exact
+        and no operand is NaN, so ``min(x, cap_t)`` is the reference
+        walk's ``min(min(x, quota_t), effective_t)``, bitwise whenever
+        no operand is ``-0.0`` (which only a ``-0.0`` budget or
+        threshold could bring)."""
+        return np.minimum(self.quota[:, None], self.effective)
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` via the reference front-to-back walk."""

@@ -15,9 +15,17 @@ floor, clamp, multiply — each value depends on one scenario).  The
 closing expectation is left to the caller, which reduces the product
 buffer with ``.sum(axis=-1)`` — the same pairwise row reduction as the
 reference walk (:meth:`~repro.core.detection.OrderingPricer.pal`), so
-the eager and lazy tables agree bitwise entry for entry.  No telemetry
-is emitted from this module — ``repro.core.kernels`` is on the RPL701
-hot-loop list; callers instrument at their build boundaries.
+the eager and lazy tables agree bitwise entry for entry.
+
+The sweep takes as few passes as keep the walk's values bitwise.  The
+walk's two clamps, by the quota and by the count, are one clamp by the
+pricer's :attr:`~repro.core.detection.OrderingPricer.cap` (``minimum``
+is exact); a unit audit cost skips its divide
+(``x / 1.0 == x``); and the gather writes straight into its output
+(``np.take`` with ``mode="clip"``, after one range check of the rows).
+
+No telemetry is emitted from this module — ``repro.core.kernels`` is on
+the RPL701 hot-loop list; callers instrument at their build boundaries.
 """
 
 from __future__ import annotations
@@ -64,33 +72,40 @@ def type_products(
     consumed: np.ndarray,
     rows: np.ndarray,
     cost: float,
-    quota: float,
-    effective: np.ndarray,
+    cap: np.ndarray,
     zsafe: np.ndarray,
     weights: np.ndarray,
     budget: float,
     out: np.ndarray,
 ) -> None:
     """The expectation summands of one alert type for the predecessor
-    sets ``rows``: ``out[i, s] = (min(min(max(floor((budget -
-    consumed[rows[i], s]) / cost), 0), quota), effective[s]) /
-    zsafe[s]) * weights[s]``."""
-    np.take(consumed, rows, axis=0, out=out)
+    sets ``rows``: ``out[i, s] = (min(max(floor((budget -
+    consumed[rows[i], s]) / cost), 0), cap[s]) / zsafe[s]) * weights[s]``,
+    with ``cap`` the type's :attr:`~repro.core.detection.OrderingPricer.cap`
+    row.  A row outside ``consumed`` raises ``IndexError``."""
+    if rows.size and not 0 <= rows.min() <= rows.max() < consumed.shape[0]:
+        raise IndexError(
+            f"rows must lie in [0, {consumed.shape[0]}), got "
+            f"[{rows.min()}, {rows.max()}]"
+        )
+    # "clip" gathers straight into ``out``; the default "raise" fills a
+    # temporary first.  The rows are checked above, so nothing clips.
+    np.take(consumed, rows, axis=0, out=out, mode="clip")
     np.subtract(budget, out, out=out)
-    np.divide(out, cost, out=out)
+    # x / 1.0 == x in IEEE 754: a unit cost divides nothing.
+    if cost != 1.0:
+        np.divide(out, cost, out=out)
     np.floor(out, out=out)
     np.maximum(out, 0.0, out=out)
-    np.minimum(out, quota, out=out)
-    np.minimum(out, effective[None, :], out=out)
-    np.divide(out, zsafe[None, :], out=out)
-    np.multiply(out, weights[None, :], out=out)
+    np.minimum(out, cap, out=out)
+    np.divide(out, zsafe, out=out)
+    np.multiply(out, weights, out=out)
 
 
 def extension_products(
     consumed: np.ndarray,
     costs: np.ndarray,
-    quota: np.ndarray,
-    effective: np.ndarray,
+    cap: np.ndarray,
     zsafe: np.ndarray,
     weights: np.ndarray,
     budget: float,
@@ -98,11 +113,11 @@ def extension_products(
 ) -> None:
     """The lazy-table row sweep: the :func:`type_products` pipeline with
     one row per free type against a single consumed vector."""
-    np.subtract(budget, consumed[None, :], out=out)
-    np.divide(out, costs[:, None], out=out)
+    np.subtract(budget, consumed, out=out)
+    if (costs != 1.0).any():
+        np.divide(out, costs[:, None], out=out)
     np.floor(out, out=out)
     np.maximum(out, 0.0, out=out)
-    np.minimum(out, quota[:, None], out=out)
-    np.minimum(out, effective, out=out)
+    np.minimum(out, cap, out=out)
     np.divide(out, zsafe, out=out)
-    np.multiply(out, weights[None, :], out=out)
+    np.multiply(out, weights, out=out)

@@ -427,8 +427,7 @@ class PalTable:
                     consumed,
                     rows,
                     float(p.costs[t]),
-                    float(p.quota[t]),
-                    p.effective[t, chunk],
+                    p.cap[t, chunk],
                     p.zsafe[t, chunk],
                     weights,
                     float(p.budget),
@@ -681,8 +680,7 @@ class LazyPalTable:
                 kernels.extension_products(
                     consumed,
                     p.costs[idx],
-                    p.quota[idx],
-                    p.effective[idx],
+                    p.cap[idx],
                     p.zsafe[idx],
                     p.weights,
                     float(p.budget),
@@ -803,8 +801,7 @@ class LazyPalTable:
                     consumed,
                     np.array([row_of[entries[i][1]] for i in picked]),
                     float(p.costs[t]),
-                    float(p.quota[t]),
-                    p.effective[t],
+                    p.cap[t],
                     p.zsafe[t],
                     p.weights,
                     float(p.budget),

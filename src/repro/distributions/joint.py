@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,11 @@ class ScenarioSet:
         sets, exact joint probabilities for enumerated sets).
     exact:
         True when the set enumerates the full joint support.
+
+    The set is immutable.  The count arrays the detection kernels read
+    (:attr:`type_counts`, :attr:`zsafe`) depend on nothing else, so
+    they are derived on first use, once per set, and shared read-only
+    by every pricer of the set.
     """
 
     counts: np.ndarray
@@ -83,6 +89,23 @@ class ScenarioSet:
     def n_types(self) -> int:
         """Number of alert types (columns)."""
         return int(self.counts.shape[1])
+
+    @cached_property
+    def type_counts(self) -> np.ndarray:
+        """The counts as floats, type-major ``(T, S)`` and read-only:
+        the kernels sweep one type's scenarios at a time, so each type's
+        row is contiguous."""
+        counts = np.ascontiguousarray(self.counts.T, dtype=np.float64)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def zsafe(self) -> np.ndarray:
+        """The zero-count-safe denominators ``max(Z_t, 1)``, laid out
+        like :attr:`type_counts` and read-only."""
+        zsafe = np.maximum(self.type_counts, 1.0)
+        zsafe.flags.writeable = False
+        return zsafe
 
     def expected_counts(self) -> np.ndarray:
         """Weighted mean count per type."""

@@ -299,12 +299,15 @@ def run_iterative_shrink(
     screened = 0
     screened_mask0 = 0
 
+    def key_of(vector: np.ndarray) -> tuple[float, ...]:
+        return tuple(np.round(vector, 9).tolist())
+
     def price_round(
-        probes: list[np.ndarray],
+        probes: list[np.ndarray], keys: list[tuple[float, ...]]
     ) -> list[FixedThresholdSolution | Screened]:
-        """Price one round of probes through the local memo as a batch."""
+        """Price one round of probes, memo keys ``keys``, through the
+        local memo as a batch."""
         nonlocal lp_calls, screened, screened_mask0
-        keys = [tuple(np.round(p, 9).tolist()) for p in probes]
         fresh: dict[tuple[float, ...], np.ndarray] = {}
         for key, probe in zip(keys, probes, strict=True):
             if key not in cache and key not in fresh:
@@ -321,7 +324,7 @@ def run_iterative_shrink(
 
     if screen is not None:
         screen.incumbent = None  # the start vector needs its full solve
-    best_solution = price_round([current])[0]
+    best_solution = price_round([current], [key_of(current)])[0]
     best_objective = best_solution.objective
     if screen is not None:
         screen.update(best_solution, best_objective - improvement_tol)
@@ -347,6 +350,7 @@ def run_iterative_shrink(
             # while lp_calls (plus the new solves already admitted this
             # round) stays under max_probes; memo hits are free.
             probes: list[np.ndarray] = []
+            keys: list[tuple[float, ...]] = []
             fresh_keys: set[tuple[float, ...]] = set()
             for combo in combos:
                 if (
@@ -357,11 +361,14 @@ def run_iterative_shrink(
                 probe = _shrunk(current, combo, ratio, quantize, quantum)
                 if np.array_equal(probe, current):
                     continue  # quantized away: cannot strictly improve
-                key = tuple(np.round(probe, 9).tolist())
+                key = key_of(probe)
                 if key not in cache:
                     fresh_keys.add(key)
                 probes.append(probe)
-            for probe, candidate in zip(probes, price_round(probes), strict=True):
+                keys.append(key)
+            for probe, candidate in zip(
+                probes, price_round(probes, keys), strict=True
+            ):
                 if isinstance(candidate, Screened):
                     continue  # its objective is at least the cutoff
                 if candidate.objective < round_best:

@@ -20,12 +20,17 @@ EMR master than the arrays' own assembly.  The overload's conventions
 are documented where the arrays are built (:func:`_highs_model`) and
 passed (:func:`solve_with_scipy`).
 
-Each solve runs in a fresh ``_Highs`` instance, so no solver state
-carries from one solve to the next: every solve is cold.
+Each thread keeps one ``_Highs`` instance, options passed once, and
+clears its model before each solve: ``clearModel`` discards the model,
+basis and solution, so every solve is still cold and bitwise a fresh
+instance's, without a fresh instance's set-up.  A call that raises or
+ends in any status but optimal drops the thread's instance, so the
+next solve starts from a fresh one.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +42,7 @@ from .problem import LinearProgram, LPSolution, LPStatus
 __all__ = ["solve_with_scipy"]
 
 #: The options scipy's HiGHS LP solver sets; every other option keeps
-#: the HiGHS default.  Copied into each fresh solver instance.
+#: the HiGHS default.  Copied into each thread's solver instance.
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "on"
 _OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -65,6 +70,10 @@ _MINIMIZE = int(highs.ObjSense.kMinimize)
 #: at its default ``tol=1e-9``.
 FEASIBILITY_TOL = 10.0 * np.sqrt(1e-9)
 
+#: Each thread's idle solver instance, as ``solver``: empty while a
+#: solve holds it and after a failed one.
+_LOCAL = threading.local()
+
 
 class _ColwiseModel(NamedTuple):
     """The arrays of one ``passModel`` call, in the C API's column-wise
@@ -84,9 +93,10 @@ def _highs_model(problem: LinearProgram) -> _ColwiseModel:
     """``problem`` as the column-wise arrays HiGHS takes.
 
     The matrix arrays are those of ``csc_array(np.vstack((a_ub,
-    a_eq)))``, which ``linprog`` hands HiGHS: ``np.nonzero`` of the
-    transposed dense block lists the nonzeros column by column with
-    sorted row indices, and drops exact zeros as ``csc_array`` does.
+    a_eq)))``, which ``linprog`` hands HiGHS: the flat positions of the
+    nonzeros of the contiguous transposed block run column by column
+    with sorted row indices, and exact zeros are dropped as
+    ``csc_array`` drops them.
     ``a_start`` holds one start per column, the C API's convention:
     HiGHS ends the last column at the nonzero count.  Index arrays are
     ``int32``, HiGHS's index type, and every array is C-contiguous:
@@ -99,8 +109,12 @@ def _highs_model(problem: LinearProgram) -> _ColwiseModel:
     n = problem.n_variables
     blocks = [a for a in (problem.a_ub, problem.a_eq) if a is not None]
     dense = np.vstack(blocks) if blocks else np.zeros((0, n))
-    cols, rows = np.nonzero(dense.T)
-    values = dense[rows, cols]
+    # A bool mask's flat nonzeros are several times faster to find
+    # than np.nonzero's index pairs of the float block.
+    dense_t = np.ascontiguousarray(dense.T)
+    flat = np.flatnonzero(dense_t != 0)
+    cols, rows = np.divmod(flat, dense_t.shape[1])
+    values = dense_t.ravel()[flat]
     b_eq = () if problem.b_eq is None else problem.b_eq
     row_upper = np.concatenate(
         (() if problem.b_ub is None else problem.b_ub, b_eq)
@@ -114,17 +128,19 @@ def _highs_model(problem: LinearProgram) -> _ColwiseModel:
     row_lower = np.concatenate(
         (np.full(problem.n_ub_rows, -highs.kHighsInf), b_eq)
     )
-    # A None bound reads as NaN here: unbounded on that side.  HiGHS
-    # takes +-kHighsInf for infinite bounds.
-    lower, upper = np.array(problem.bounds, dtype=np.float64).T
+    # A None bound is unbounded on that side.  HiGHS takes +-kHighsInf
+    # for infinite bounds, which is IEEE inf: an infinite float bound
+    # passes as it is.
     inf = highs.kHighsInf
     return _ColwiseModel(
         cost=np.ascontiguousarray(problem.objective),
-        col_lower=np.ascontiguousarray(
-            np.nan_to_num(lower, nan=-inf, posinf=inf, neginf=-inf)
+        col_lower=np.array(
+            [-inf if lo is None else lo for lo, _ in problem.bounds],
+            dtype=np.float64,
         ),
-        col_upper=np.ascontiguousarray(
-            np.nan_to_num(upper, nan=inf, posinf=inf, neginf=-inf)
+        col_upper=np.array(
+            [inf if hi is None else hi for _, hi in problem.bounds],
+            dtype=np.float64,
         ),
         row_lower=row_lower,
         row_upper=row_upper,
@@ -165,8 +181,15 @@ def solve_with_scipy(problem: LinearProgram) -> LPSolution:
     # in repro.solvers.lp.backend.
     faults.point("solvers.lp.scipy")
     model = _highs_model(problem)
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
+    # The instance leaves the thread's slot for the call and goes back
+    # only after an optimal solve.
+    solver = getattr(_LOCAL, "solver", None)
+    if solver is None:
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+    else:
+        _LOCAL.solver = None
+        solver.clearModel()
     n = problem.n_variables
     # The binding's array overload.  Its integrality array holds one 0
     # (continuous) per column: an empty one is not read as "all
@@ -196,7 +219,10 @@ def solve_with_scipy(problem: LinearProgram) -> LPSolution:
         solved = solver.run() != highs.HighsStatus.kError
         model_status = solver.getModelStatus()
         if solved and model_status == highs.HighsModelStatus.kOptimal:
-            return _read_optimum(solver, problem, model)
+            solution = _read_optimum(solver, problem, model)
+            if solution.status == LPStatus.OPTIMAL:
+                _LOCAL.solver = solver
+            return solution
     return LPSolution(
         status=_STATUS_MAP.get(model_status, LPStatus.NUMERICAL_ERROR),
         message=solver.modelStatusToString(model_status),

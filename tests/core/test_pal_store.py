@@ -273,7 +273,7 @@ class TestStoredEntriesDeriveNothing:
             PalTable.from_pricer(pricer(b)).table[:, 0].tobytes()
         )
         assert (lazy.entries_computed, lazy.entries_reused) == (0, N_TYPES)
-        derived = ("counts", "contrib", "zsafe", "effective")
+        derived = ("counts", "contrib", "zsafe", "effective", "cap")
         assert not set(derived) & set(vars(fresh))
 
 
