@@ -620,6 +620,17 @@ class LazyPalTable:
     def n_types(self) -> int:
         return self._pricer.n_types
 
+    def report_entries(self) -> None:
+        """Add ``entries_computed`` and ``entries_reused`` to
+        ``repro_pal_entries_total``; callers report a table once, when
+        they are done with it."""
+        obs.counter(
+            "repro_pal_entries_total", self.entries_computed, source="computed"
+        )
+        obs.counter(
+            "repro_pal_entries_total", self.entries_reused, source="reused"
+        )
+
     def _consumed_for(self, mask: int) -> np.ndarray:
         """Per-scenario budget consumed by the types in ``mask``.
 

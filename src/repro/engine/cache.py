@@ -28,8 +28,9 @@ representative-row set and ``Pal`` entry store.
 
 A memo entry is either a solution or a bound.  A pricer built with a
 :class:`~repro.solvers.ishm.ProbeScreen` screens each miss against the
-holder's incumbent (read once per batch) and may store a
-:class:`~repro.solvers.enumeration.Screened` lower bound instead of a
+holder's incumbent (read once per batch), through the enumeration or
+the CGGS solver alike, and may store a
+:class:`~repro.solvers.screen.Screened` lower bound instead of a
 solution.  A stored bound answers a later lookup only for a screening
 caller whose current cutoff it still reaches; any other caller prices
 the vector afresh and the new result replaces the bound.
@@ -44,7 +45,6 @@ import numpy as np
 
 from ..core.game import AuditGame
 from ..distributions.joint import ScenarioSet
-from ..solvers.enumeration import Incumbent, Screened
 from ..solvers.ishm import (
     BatchFixedSolver,
     FixedSolver,
@@ -53,6 +53,7 @@ from ..solvers.ishm import (
     resolve_method,
 )
 from ..solvers.master import FixedThresholdSolution
+from ..solvers.screen import Incumbent, Screened
 
 __all__ = ["CacheInfo", "FixedSolveCache"]
 
@@ -155,11 +156,10 @@ class FixedSolveCache:
         :func:`~repro.solvers.ishm.make_fixed_solver` and into the memo
         key, so differently-tuned solvers never share entries.
 
-        With a ``screen`` holder and the enumeration method, each batch
-        screens its misses against the holder's current incumbent, and
-        rows may come back :class:`~repro.solvers.enumeration.Screened`
-        (see the module docstring for what the memo keeps).  CGGS
-        ignores the holder.
+        With a ``screen`` holder, each batch screens its misses against
+        the holder's current incumbent, and rows may come back
+        :class:`~repro.solvers.screen.Screened` (see the module
+        docstring for what the memo keeps).
 
         Misses are priced serially, in input order: enumeration through
         the cache's shared solver, CGGS through the pricer's own.  The
@@ -180,10 +180,9 @@ class FixedSolveCache:
             # Stateful (CGGS): fresh solver + a memo local to this
             # pricer, so earlier engine solves cannot leak into this one
             # and the engine-lifetime dict does not grow with
-            # unreusable entries.  It never screens.
+            # unreusable entries.
             scope = (method, backend, seed, options)
             solutions = {}
-            screen = None
             base = make_fixed_solver(
                 self.game,
                 self.scenarios,

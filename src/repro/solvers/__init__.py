@@ -5,6 +5,7 @@
 * :mod:`repro.solvers.enumeration` — exact master over all orderings.
 * :mod:`repro.solvers.cggs` — Algorithm 1 (column generation).
 * :mod:`repro.solvers.ishm` — Algorithm 2 (threshold shrink heuristic).
+* :mod:`repro.solvers.screen` — dual-bound screening of ISHM probes.
 * :mod:`repro.solvers.bruteforce` — exact OAP on integer threshold grids.
 * :mod:`repro.solvers.best_response` — attacker-side diagnostics.
 """

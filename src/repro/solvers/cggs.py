@@ -40,6 +40,21 @@ Three structure-exploiting fast paths ride under the algorithm unchanged:
   ``(type, predecessor set)`` entries no earlier probe priced.  The
   engine's fixed-solve cache builds a fresh CGGS solver per ISHM run, so
   the store lives for one run and is touched by that run alone.
+
+**Probe screening.**  :meth:`CGGSSolver.price` takes an optional
+:class:`~repro.solvers.screen.Incumbent`, as the enumeration solver's
+``solve`` does, and runs that solver's mask-0 stage: it bounds the
+probe from its ``T`` mask-0 entries, read through the probe's own lazy
+table, and returns :class:`~repro.solvers.screen.Screened` without a
+master when the bound reaches the incumbent's cutoff.  The bound is
+sound for CGGS: its objective is a restricted master's optimum, at
+least the full master's, which the bound is at most (see
+:mod:`repro.solvers.screen`).  The table DP of the enumeration solver's
+second stage is left out: at ``T = 7`` it costs more than the master
+solves it skips.  A probe that is not screened is solved from the same
+context, so its greedy oracle finds the mask-0 row already swept.
+Unlike enumeration, skipping a probe can change later probes: a solved
+probe leaves its support in the warm-start pool.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ from .master import (
     PolicyContext,
     utilities_linear_in_pal,
 )
+from .screen import Incumbent, IncumbentBounds, Screened
 
 __all__ = ["CGGSSolver", "CGGSResult"]
 
@@ -105,12 +121,12 @@ class CGGSSolver:
         # entry store.
         self._rep_rows = PolicyContext.representative_rows_for(game)
         self._pal_store = PalEntryStore()
+        self._bounds = IncumbentBounds(game, self._rep_rows)
 
     # ------------------------------------------------------------------
 
-    def solve(self, thresholds: np.ndarray) -> CGGSResult:
-        """Approximately optimal mixed strategy for fixed thresholds."""
-        context = PolicyContext(
+    def _context(self, thresholds: np.ndarray) -> PolicyContext:
+        return PolicyContext(
             self.game,
             self.scenarios,
             thresholds,
@@ -118,6 +134,42 @@ class CGGSSolver:
             representative_rows=self._rep_rows,
             pal_store=self._pal_store,
         )
+
+    def price(
+        self,
+        thresholds: np.ndarray,
+        incumbent: Incumbent | None = None,
+    ) -> CGGSResult | Screened:
+        """:meth:`solve` ``b``, unless ``incumbent`` screens it.
+
+        With an ``incumbent``, return :class:`Screened` when the mask-0
+        bound, less its margin, reaches ``incumbent.cutoff`` (see the
+        module docstring); otherwise solve from the probe's context.
+        """
+        context = self._context(thresholds)
+        bound = None if incumbent is None else self._bounds(incumbent)
+        if bound is not None:
+            table = context.pal_table()
+            entries = table.extension_values(0, range(self.game.n_types))
+            lower = bound.mask0_bound(entries) - bound.margin
+            if lower >= incumbent.cutoff:
+                table.report_entries()
+                return Screened(lower, "mask0")
+        return self.solve(thresholds, context=context)
+
+    def solve(
+        self,
+        thresholds: np.ndarray,
+        *,
+        context: PolicyContext | None = None,
+    ) -> CGGSResult:
+        """Approximately optimal mixed strategy for fixed thresholds.
+
+        ``context`` is the context :meth:`price` built for ``thresholds``,
+        if it built one.
+        """
+        if context is None:
+            context = self._context(thresholds)
         master = MasterProblem(context, backend=self.backend)
         for ordering in self._pool.values():
             master.add_ordering(ordering)
@@ -152,15 +204,7 @@ class CGGSSolver:
         obs.counter(
             "repro_cggs_converged_total", 1.0 if converged else 0.0
         )
-        table = context.pal_table()
-        obs.counter(
-            "repro_pal_entries_total",
-            table.entries_computed,
-            source="computed",
-        )
-        obs.counter(
-            "repro_pal_entries_total", table.entries_reused, source="reused"
-        )
+        context.pal_table().report_entries()
         return CGGSResult(
             policy=fixed.policy.pruned(),
             objective=fixed.objective,

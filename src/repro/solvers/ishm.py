@@ -14,15 +14,19 @@ subsets of thresholds by a ratio ``1 - i * eps``:
 
 Table VII counts the threshold vectors checked.  Each costs one
 fixed-threshold master solve (enumeration for small ``|T|``, CGGS
-otherwise) unless the enumeration pricer *screens* it: given a
+otherwise) unless the pricer *screens* it: given a
 :class:`ProbeScreen`, the pricer compares every probe's all-orderings
 dual bound — built from the incumbent master's duals, see
-:mod:`repro.solvers.enumeration` — with the round's cutoff
+:mod:`repro.solvers.screen` — with the round's cutoff
 ``best - improvement_tol``, and a probe whose bound reaches it comes
-back :class:`~repro.solvers.enumeration.Screened` without an LP, from
-the mask-0 stage or the table stage.  Such a probe could never have
-been accepted, so the search path, the result and ``lp_calls`` are
-exactly those of the unscreened search.
+back :class:`~repro.solvers.screen.Screened` without an LP: from the
+mask-0 stage or the table stage under enumeration, from the mask-0
+stage under CGGS.  Such a probe could never have been accepted.  Under
+enumeration the search path, the result and ``lp_calls`` are therefore
+exactly those of the unscreened search.  Under CGGS they are checked,
+not proven, to be: a solved probe leaves its support in the solver's
+warm-start pool, which later probes start from, and a screened probe
+leaves nothing (see :mod:`repro.solvers.cggs`).
 
 Two deliberate clarifications versus the pseudocode:
 
@@ -55,9 +59,10 @@ from ..core.game import AuditGame
 from ..core.policy import AuditPolicy
 from ..distributions.joint import ScenarioSet
 from .cggs import CGGSSolver
-from .enumeration import EnumerationSolver, Incumbent, Screened
+from .enumeration import EnumerationSolver
 from .lp import available_backends
 from .master import FixedThresholdSolution
+from .screen import Incumbent, Screened
 
 __all__ = [
     "ISHMResult",
@@ -141,7 +146,9 @@ def make_fixed_solver(
     """Factory for the inner fixed-threshold solver used by ISHM.
 
     ``method`` is ``"enumeration"``, ``"cggs"``, or ``"auto"`` (see
-    :func:`resolve_method`).
+    :func:`resolve_method`).  Either solver's callable takes an optional
+    :class:`~repro.solvers.screen.Incumbent` after the vector, and may
+    then answer :class:`~repro.solvers.screen.Screened`.
 
     The backend name is validated here, *before* any solver is built —
     an ISHM run prices hundreds of vectors, so a typo'd backend should
@@ -161,7 +168,7 @@ def make_fixed_solver(
     if method == "cggs":
         solver = CGGSSolver(game, scenarios, backend=backend, rng=rng,
                             **kwargs)
-        return solver.solve
+        return solver.price
     raise ValueError(
         f"unknown method {method!r}; use 'auto', 'enumeration' or 'cggs'"
     )

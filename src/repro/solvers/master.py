@@ -182,29 +182,33 @@ class PolicyContext:
         Depends only on the game (not thresholds or scenarios), so
         solvers and batched-pricing callers compute it once and pass it
         to every context they build.
+
+        A victim's signature is one row of a matrix: its adversary,
+        ``np.round(P[e, v], 12)``, and ``R``, ``M`` and ``K`` rounded by
+        Python's ``round(., 12)`` (applied once per distinct value:
+        ``np.round`` can land one ulp away).  The representatives are
+        the first occurrences of the distinct rows, in ``(e, v)`` order.
+        Rows compare as float tuples do: ``-0.0 == 0.0``, and a NaN
+        makes its row distinct from every other.
         """
-        probs = game.attack_map.probabilities
+        n_e, n_v = game.n_adversaries, game.n_victims
+        if n_e == 0 or n_v == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         payoffs = game.payoffs
-        e_rows: list[int] = []
-        v_rows: list[int] = []
-        for e in range(game.n_adversaries):
-            seen: set[tuple] = set()
-            for v in range(game.n_victims):
-                signature = (
-                    tuple(np.round(probs[e, v], 12)),
-                    round(float(payoffs.benefit[e, v]), 12),
-                    round(float(payoffs.penalty[e, v]), 12),
-                    round(float(payoffs.attack_cost[e, v]), 12),
-                )
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                e_rows.append(e)
-                v_rows.append(v)
-        return (
-            np.asarray(e_rows, dtype=np.int64),
-            np.asarray(v_rows, dtype=np.int64),
-        )
+        probs = np.round(game.attack_map.probabilities, 12)
+        columns = [
+            np.repeat(np.arange(n_e, dtype=np.float64), n_v)[:, None],
+            probs.reshape(n_e * n_v, -1),
+        ]
+        for values in (
+            payoffs.benefit, payoffs.penalty, payoffs.attack_cost
+        ):
+            distinct, inverse = np.unique(values, return_inverse=True)
+            rounded = [round(x, 12) for x in distinct.tolist()]
+            columns.append(np.asarray(rounded)[inverse].reshape(-1, 1))
+        _, first = np.unique(np.hstack(columns), axis=0, return_index=True)
+        first.sort()
+        return first // n_v, first % n_v
 
     @property
     def representative_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,14 +251,7 @@ class PolicyContext:
         """
         table = LazyPalTable.from_pricer(self.pricer, store=self._pal_store)
         entries = table.extension_values(0, range(self.game.n_types))
-        obs.counter(
-            "repro_pal_entries_total",
-            table.entries_computed,
-            source="computed",
-        )
-        obs.counter(
-            "repro_pal_entries_total", table.entries_reused, source="reused"
-        )
+        table.report_entries()
         return entries
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:

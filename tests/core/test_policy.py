@@ -73,6 +73,59 @@ class TestAuditPolicy:
                 thresholds=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "total",
+        [
+            1.0,
+            1.0 + 1e-6,
+            1.0000105,  # outside math.isclose(abs_tol=1e-6), inside here
+            0.9999895,
+            *(
+                np.nextafter(1.0 + sign * (1e-6 + 1e-5), toward)
+                for sign in (1.0, -1.0)
+                for toward in (0.0, 2.0)
+            ),
+            1.0 + 1e-6 + 1e-5,
+            1.0 - 1e-6 - 1e-5,
+            1.0 + 1.1e-5 + 1e-12,
+            1.0 - 1.1e-5 - 1e-12,
+            1.00002,
+            0.99998,
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+        ],
+    )
+    def test_sum_check_is_np_isclose(self, total):
+        """The float test accepts exactly the sums ``np.isclose(total,
+        1.0, atol=1e-6)`` accepts."""
+        accepted = bool(np.isclose(total, 1.0, atol=1e-6))
+        try:
+            AuditPolicy(
+                orderings=(Ordering((0, 1)),),
+                probabilities=np.array([total]),
+                thresholds=np.array([1.0, 1.0]),
+            )
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+
+    def test_sum_check_is_np_isclose_near_the_edges(self):
+        rng = np.random.default_rng(0)
+        for total in 1.0 + rng.uniform(-2e-5, 2e-5, 2000):
+            accepted = bool(np.isclose(total, 1.0, atol=1e-6))
+            try:
+                AuditPolicy(
+                    orderings=(Ordering((0, 1)), Ordering((1, 0))),
+                    probabilities=np.array([total / 2, total / 2]),
+                    thresholds=np.array([1.0, 1.0]),
+                )
+            except ValueError:
+                assert not accepted
+            else:
+                assert accepted
+
     def test_rejects_incomplete_ordering(self):
         with pytest.raises(ValueError):
             AuditPolicy.pure(Ordering((0,)), [1.0, 1.0])

@@ -77,6 +77,29 @@ def test_install_layers_wraps_every_target_and_unwrap_restores(harness):
     assert result.diagnostics["lp_calls"] == 31
 
 
+def test_traced_cggs_run_spans_only_the_solved_probes(harness):
+    """syn_a(2) ISHM over CGGS at step 0.5, traced: of 31 vectors, 5 are
+    screened from their mask-0 entries before any ``fixed.solve`` span
+    opens, and each of the 26 solved ones is one span whose facts
+    ``_cggs_facts`` read off a ``CGGSResult``."""
+    spans, _ = harness
+    recorder = spans.SpanRecorder()
+    try:
+        spans.install_layers(recorder)
+        with AuditEngine(syn_a(budget=2)) as engine:
+            result = engine.solve("ishm", step_size=0.5, inner="cggs")
+    finally:
+        recorder.unwrap()
+    assert result.diagnostics["lp_calls"] == 31
+    assert result.diagnostics["screened"] == 5
+    assert result.diagnostics["screened_mask0"] == 5
+    solved = [s for s in recorder.spans if s.name == "fixed.solve"]
+    assert len(solved) == 26
+    for span in solved:
+        assert "columns_generated" in recorder.facts.get(span.id, {})
+    assert spans.layer_metrics(recorder)["fixed.calls"] == (26.0, "count")
+
+
 def test_round_clock_times_each_pricer_call(harness, monkeypatch):
     _, solve_workloads = harness
     original = vars(FixedSolveCache)["batch_solver"]

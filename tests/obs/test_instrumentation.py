@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core import PalEntryStore
-from repro.datasets import syn_a
+from repro.datasets import rea_a, syn_a
 from repro.engine import AuditEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import SPAN_HISTOGRAM
@@ -87,6 +87,35 @@ def test_computed_entries_equal_the_store_size(registry, monkeypatch):
     monkeypatch.setattr(PalEntryStore, "__init__", recording)
     AuditEngine(syn_a(budget=10)).solve("ishm", step_size=0.1)
     [store] = stores
+    assert registry.get_counter(
+        "repro_pal_entries_total", source="computed"
+    ) == len(store)
+
+
+@pytest.mark.parametrize(
+    ("build", "step_size"),
+    [(lambda: syn_a(budget=10), 0.2), (lambda: rea_a(budget=50), 0.5)],
+    ids=["syn_a-10", "rea_a-50"],
+)
+def test_computed_entries_equal_the_store_size_under_cggs(
+    registry, monkeypatch, build, step_size
+):
+    """Every probe's lazy table reports its entries once: a screened
+    probe when the screen rejects it, any other at the end of its
+    solve."""
+    stores = []
+    original = PalEntryStore.__init__
+
+    def recording(self):
+        original(self)
+        stores.append(self)
+
+    monkeypatch.setattr(PalEntryStore, "__init__", recording)
+    result = AuditEngine(build()).solve(
+        "ishm", step_size=step_size, inner="cggs"
+    )
+    [store] = stores
+    assert result.raw.screened > 0
     assert registry.get_counter(
         "repro_pal_entries_total", source="computed"
     ) == len(store)
@@ -174,7 +203,7 @@ def test_lp_solve_span_one_series_per_backend(registry):
     skipped it: on Syn A at B=2 and step 0.5 that is 31 vectors checked
     and 1 LP.
     """
-    from repro.datasets import syn_a
+    from repro.datasets import rea_a, syn_a
 
     with AuditEngine(syn_a(budget=2)) as engine:
         result = engine.solve("ishm", step_size=0.5)

@@ -26,11 +26,13 @@ from repro.core import (
     PayoffModel,
 )
 from repro.core.pal_table import PalTable
-from repro.datasets import syn_a
+from repro.datasets import rea_a, syn_a
 from repro.distributions import DiscretizedGaussian, JointCountModel
 from repro.engine import AuditEngine
-from repro.solvers.enumeration import EnumerationSolver, Screened
-from repro.solvers.ishm import per_row, run_iterative_shrink
+from repro.solvers.cggs import CGGSSolver
+from repro.solvers.enumeration import EnumerationSolver
+from repro.solvers.ishm import make_fixed_solver, per_row, run_iterative_shrink
+from repro.solvers.screen import Incumbent, Screened, dual_bound
 
 
 def _table(game: AuditGame, scenarios, thresholds) -> PalTable:
@@ -159,7 +161,7 @@ class TestDualBound:
         lp_duals = solver.solve(source).row_duals
         arbitrary = rng.normal(size=lp_duals.shape) * rng.uniform(0, 5)
         arbitrary[rng.random(lp_duals.shape) < 0.4] = 0.0
-        bounds = [solver.dual_bound(d) for d in (lp_duals, arbitrary)]
+        bounds = [dual_bound(game, d) for d in (lp_duals, arbitrary)]
         for bound in bounds:
             assert bound is not None and bound.margin > 0.0
         for b in grid:
@@ -187,7 +189,7 @@ class TestDualBound:
         )
         assert len(probes) == 110
         for b, solution in probes:
-            bound = solver.dual_bound(solution.row_duals)
+            bound = dual_bound(syn_a_game, solution.row_duals)
             lower = bound.lower_bound(
                 _table(syn_a_game, solver.scenarios, b)
             )
@@ -198,7 +200,7 @@ class TestDualBound:
         game = _custom_payoff_game(syn_a(budget=2))
         solver = EnumerationSolver(game, game.scenario_set())
         duals = solver.solve(game.threshold_upper_bounds()).row_duals
-        assert solver.dual_bound(duals) is None
+        assert dual_bound(game, duals) is None
 
 
 class _CustomPayoffs(PayoffModel):
@@ -288,6 +290,102 @@ class TestScreenedISHM:
             assert [tuple(o) for o in got.policy.orderings] == [
                 tuple(o) for o in cold.policy.orderings
             ]
+
+
+class TestScreenedCGGS:
+    """CGGS probes screened from their mask-0 entries.
+
+    Skipping a CGGS probe is sound, but it leaves the probe's support
+    out of the solver's warm-start pool, so the search path is checked
+    here, not proven.
+    """
+
+    @pytest.mark.parametrize(
+        ("budget", "n_screened"), [(2, 6), (4, 23), (6, 22), (10, 45)]
+    )
+    def test_engine_run_equals_unscreened_reference(
+        self, budget, n_screened
+    ):
+        game = syn_a(budget=budget)
+        with AuditEngine(game) as engine:
+            screened = engine.solve("ishm", step_size=0.2, inner="cggs")
+            scenarios = engine.scenario_set()
+        reference = run_iterative_shrink(
+            game,
+            scenarios,
+            0.2,
+            batch_solver=per_row(
+                make_fixed_solver(
+                    game,
+                    scenarios,
+                    method="cggs",
+                    rng=np.random.default_rng(screened.config.seed),
+                )
+            ),
+        )
+        assert reference.screened == 0
+        assert screened.raw.screened == n_screened
+        assert screened.raw.screened_mask0 == n_screened
+        _assert_same_ishm(screened.raw, reference)
+
+    def test_emr_counts_pin(self):
+        """The ``ishm-emr`` benchmark solve: rea_a(50) at step 0.5."""
+        with AuditEngine(rea_a(budget=50)) as engine:
+            result = engine.solve("ishm", step_size=0.5)
+        assert result.diagnostics["lp_calls"] == 225
+        assert result.diagnostics["screened"] == 118
+        assert result.diagnostics["screened_mask0"] == 118
+        assert result.objective == 170.6552811894025
+
+    def test_screened_bound_is_at_most_the_enumeration_optimum(
+        self, monkeypatch
+    ):
+        """Each screened probe's certified bound is below what even the
+        exact master over all orderings reaches at its vector."""
+        original = CGGSSolver.price
+        screened = []
+
+        def spy(self, thresholds, incumbent=None):
+            result = original(self, thresholds, incumbent)
+            if isinstance(result, Screened):
+                screened.append((np.array(thresholds), result))
+            return result
+
+        monkeypatch.setattr(CGGSSolver, "price", spy)
+        game = syn_a(budget=10)
+        with AuditEngine(game) as engine:
+            result = engine.solve("ishm", step_size=0.2, inner="cggs")
+            scenarios = engine.scenario_set()
+        assert len(screened) == result.raw.screened == 45
+        exact = EnumerationSolver(game, scenarios)
+        for b, probe in screened:
+            assert probe.stage == "mask0"
+            assert probe.lower_bound <= exact.solve(b).objective
+
+    def test_unscreened_probe_solves_from_its_screened_context(self):
+        """A probe the screen keeps is the plain solve, bit for bit."""
+        game = syn_a(budget=10)
+        scenarios = game.scenario_set()
+        upper = game.threshold_upper_bounds()
+        start = CGGSSolver(game, scenarios).solve(upper)
+        # No bound reaches an infinite cutoff: the probe is kept after
+        # its mask-0 entries were read.
+        incumbent = Incumbent(start.row_duals, np.inf)
+        probe = np.floor(upper * 0.6)
+        got = CGGSSolver(game, scenarios).price(probe, incumbent)
+        want = CGGSSolver(game, scenarios).solve(probe)
+        assert not isinstance(got, Screened)
+        assert got.objective == want.objective
+        assert (got.columns_generated, got.lp_calls) == (
+            want.columns_generated, want.lp_calls
+        )
+        assert [tuple(o) for o in got.policy.orderings] == [
+            tuple(o) for o in want.policy.orderings
+        ]
+        assert np.array_equal(
+            got.policy.probabilities, want.policy.probabilities
+        )
+        assert np.array_equal(got.row_duals, want.row_duals)
 
 
 def test_table7_vectors_checked_are_pinned():
